@@ -32,7 +32,6 @@ from repro.crypto.fq2 import Fq2
 from repro.crypto.hash_to_group import hash_to_g0
 from repro.crypto.kdf import hkdf
 from repro.crypto.modes import seal, unseal
-from repro.crypto.fixedbase import FixedBaseMult
 from repro.crypto.pairing import Pairing
 from repro.crypto.parallel import PairingPool
 from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at_zero
@@ -133,19 +132,11 @@ class HybridCiphertext:
 
 
 class CPABE:
-    """A CP-ABE instance over fixed pairing parameters.
-
-    ``precompute_fixed_bases=True`` builds windowed tables for the public
-    bases (g, h) on first use, speeding up repeated Encrypt/KeyGen on a
-    long-lived instance by ~4x at the 160/512 operating point (ablation
-    A9). The table build itself costs ~90 ms per base, so one-shot uses
-    should leave it off (the default).
-    """
+    """A CP-ABE instance over fixed pairing parameters."""
 
     def __init__(
         self,
         params: CurveParams,
-        precompute_fixed_bases: bool = False,
         pairing_pool: "PairingPool | None" = None,
     ):
         self.params = params
@@ -155,26 +146,12 @@ class CPABE:
         # fans its per-leaf Miller states (and decrypt_elements its
         # independent ciphertexts) across worker processes.
         self.pairing_pool = pairing_pool
-        self._precompute = precompute_fixed_bases
-        self._fixed_cache: dict[bytes, FixedBaseMult] = {}
         # hash_to_g0 is deterministic and dominated by cofactor clearing;
         # memoize attribute points (recur across Encrypt/KeyGen calls).
         self._attr_point_cache: dict[str, Point] = {}
         # e(g, g) per generator: Setup and every KEM encapsulation
         # exponentiate the same fixed pairing, so pay the Miller loop once.
         self._gt_base_cache: dict[bytes, Fq2] = {}
-
-    def _mult(self, base: Point, scalar: int) -> Point:
-        """Scalar-multiply a recurring public base, via the table cache
-        when precomputation is enabled."""
-        if not self._precompute:
-            return base * scalar
-        key = base.to_bytes()
-        multiplier = self._fixed_cache.get(key)
-        if multiplier is None:
-            multiplier = FixedBaseMult(base)
-            self._fixed_cache[key] = multiplier
-        return multiplier.multiply(scalar)
 
     def _attr_point(self, attribute: str) -> Point:
         point = self._attr_point_cache.get(attribute)
@@ -225,12 +202,12 @@ class CPABE:
         leaf_c: list[Point] = []
         leaf_c_prime: list[Point] = []
         for leaf, share in leaf_shares:
-            leaf_c.append(self._mult(pk.g, share))
+            leaf_c.append(pk.g * share)
             leaf_c_prime.append(self._attr_point(leaf.attribute) * share)
         return Ciphertext(
             tree=tree,
             c_tilde=message * self.pairing.gt_exp(pk.e_gg_alpha, s),
-            c=self._mult(pk.h, s),
+            c=pk.h * s,
             leaf_c=tuple(leaf_c),
             leaf_c_prime=tuple(leaf_c_prime),
         )
@@ -262,11 +239,11 @@ class CPABE:
         beta_inv = pow(mk.beta, -1, order)
         d = (mk.g_alpha + pk.g * r_blind) * beta_inv
         components: dict[str, tuple[Point, Point]] = {}
-        g_r_blind = self._mult(pk.g, r_blind)
+        g_r_blind = pk.g * r_blind
         for attribute in set(attributes):
             r_j = secrets.randbelow(order)
             d_j = g_r_blind + self._attr_point(attribute) * r_j
-            d_j_prime = self._mult(pk.g, r_j)
+            d_j_prime = pk.g * r_j
             components[attribute] = (d_j, d_j_prime)
         return SecretKey(d=d, components=components)
 

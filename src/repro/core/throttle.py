@@ -46,6 +46,9 @@ class _Budget:
     locked: bool = False
 
 
+_UNTOUCHED = _Budget()  # what a pair with no recorded failure reads as
+
+
 class GuessThrottle:
     """Per-(puzzle, requester) failed-verification budgets.
 
@@ -62,12 +65,14 @@ class GuessThrottle:
         self.max_failures = max_failures
         self._budgets: dict[tuple[int, str], _Budget] = {}
 
-    def _budget(self, puzzle_id: int, requester: str) -> _Budget:
-        return self._budgets.setdefault((puzzle_id, requester), _Budget())
+    def _peek(self, puzzle_id: int, requester: str) -> _Budget:
+        """The pair's budget without allocating one: only a failure
+        creates state, so probes and grants leave ``_budgets`` alone."""
+        return self._budgets.get((puzzle_id, requester), _UNTOUCHED)
 
     def check(self, puzzle_id: int, requester: str) -> None:
         """Gate a verification attempt; raises once locked out."""
-        if self._budget(puzzle_id, requester).locked:
+        if self._peek(puzzle_id, requester).locked:
             raise ThrottledError(
                 "requester %r is locked out of puzzle %d after %d failures"
                 % (requester, puzzle_id, self.max_failures)
@@ -81,7 +86,7 @@ class GuessThrottle:
         event (the requester name is redacted by the event log — it is
         personal data, not an operational label).
         """
-        budget = self._budget(puzzle_id, requester)
+        budget = self._budgets.setdefault((puzzle_id, requester), _Budget())
         budget.failures += 1
         count("core.throttle.failures")
         if budget.failures >= self.max_failures:
@@ -97,15 +102,17 @@ class GuessThrottle:
     def record_success(self, puzzle_id: int, requester: str) -> None:
         """Reset the failure count — a verified friend isn't punished for
         an earlier typo. Does not clear an existing lockout."""
-        self._budget(puzzle_id, requester).failures = 0
+        budget = self._budgets.get((puzzle_id, requester))
+        if budget is not None:
+            budget.failures = 0
 
     def failures_for(self, puzzle_id: int, requester: str = "") -> int:
         """Current failed-attempt count for the (puzzle, requester) pair."""
-        return self._budget(puzzle_id, requester).failures
+        return self._peek(puzzle_id, requester).failures
 
     def is_locked(self, puzzle_id: int, requester: str = "") -> bool:
         """Whether the pair has exhausted its budget and is locked out."""
-        return self._budget(puzzle_id, requester).locked
+        return self._peek(puzzle_id, requester).locked
 
     def unlock(self, puzzle_id: int, requester: str = "") -> None:
         """Sharer-initiated forgiveness (e.g. after rotating the puzzle)."""

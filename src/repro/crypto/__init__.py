@@ -1,4 +1,4 @@
-"""Cryptographic substrate — everything implemented from scratch.
+"""Cryptographic substrate — implemented from scratch, except hashing.
 
 Layout:
 
@@ -7,8 +7,9 @@ Layout:
 * :mod:`repro.crypto.polynomial`, :mod:`repro.crypto.shamir` — Lagrange
   interpolation and Shamir's (k, n) secret sharing (paper section III-B).
 * :mod:`repro.crypto.hashes`, :mod:`repro.crypto.mac`,
-  :mod:`repro.crypto.kdf` — SHA-1 / SHA-256 / Keccak, HMAC, HKDF and
-  OpenSSL's EVP_BytesToKey.
+  :mod:`repro.crypto.kdf` — SHA-1 / SHA-256 / SHA-3 and HMAC as thin
+  wrappers over the standard library's :mod:`hashlib` / :mod:`hmac`,
+  plus HKDF and OpenSSL's EVP_BytesToKey.
 * :mod:`repro.crypto.aes`, :mod:`repro.crypto.modes`,
   :mod:`repro.crypto.gibberish` — AES with CBC/CTR and the GibberishAES
   ``Salted__`` container used by the paper's Implementation 1.

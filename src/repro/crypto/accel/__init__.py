@@ -6,13 +6,15 @@ compiled implementation over an always-tested pure-Python reference:
 
 * **pure** — the existing from-scratch Python in
   :mod:`repro.crypto.numbers`, :mod:`repro.crypto.fq2`,
-  :mod:`repro.crypto.field` and :mod:`repro.crypto.pairing`.  Always
+  :mod:`repro.crypto.field`, :mod:`repro.crypto.ec` and
+  :mod:`repro.crypto.pairing`.  Always
   present, always the semantic reference.
 * **compiled** — GMP kernels built on first use by
   :mod:`repro.crypto.accel._compiled` (``cc -O2 -shared`` against the
   system libgmp, loaded with ctypes) covering ``modinv`` /
-  ``batch_modinv``, field ``mulmod``, GF(q²) exponentiation, the Straus
-  ``gt_multi_exp`` chain, and the whole merged Miller loop.
+  ``batch_modinv``, field ``mulmod``, G0 scalar multiplication (the
+  whole Jacobian double-and-add ladder), GF(q²) exponentiation, the
+  Straus ``gt_multi_exp`` chain, and the whole merged Miller loop.
 
 The tier is probed **once at import** of :mod:`repro.crypto` (the
 package ``__init__`` calls :func:`initialize`): by default the compiled
@@ -116,6 +118,7 @@ def _calibrate_mulmod(kernels) -> bool:
 
 def _install(kernels, requested: str, reason: "str | None") -> "TierState":
     """Push the chosen backend into the consumer modules."""
+    import repro.crypto.ec as ec
     import repro.crypto.field as field
     import repro.crypto.fq2 as fq2
     import repro.crypto.numbers as numbers
@@ -124,6 +127,7 @@ def _install(kernels, requested: str, reason: "str | None") -> "TierState":
     use_mulmod = bool(kernels) and _calibrate_mulmod(kernels)
     numbers._BACKEND = kernels
     fq2._BACKEND = kernels
+    ec._KERNELS = kernels
     pairing._KERNELS = kernels
     field._MULMOD = kernels.mulmod if use_mulmod else None
     return TierState(

@@ -175,6 +175,133 @@ long spx_batch_modinv(const uint8_t *mod_buf, size_t width,
     return bad;
 }
 
+/* -- G0 scalar multiplication ---------------------------------------------- */
+
+/* (X, Y, Z) = 2 (X, Y, Z) in Jacobian coordinates on y^2 = x^3 + x
+ * (Z == 0 is the point at infinity). */
+static void ec_jdouble(mpz_t X, mpz_t Y, mpz_t Z, const mpz_t q, mpz_t yy,
+                       mpz_t s, mpz_t m, mpz_t t) {
+    if (mpz_sgn(Z) == 0 || mpz_sgn(Y) == 0) {
+        mpz_set_ui(Z, 0);
+        return;
+    }
+    mpz_mul(yy, Y, Y);
+    mpz_mod(yy, yy, q);                 /* YY = Y^2           */
+    mpz_mul(s, X, yy);
+    mpz_mul_2exp(s, s, 2);
+    mpz_mod(s, s, q);                   /* S = 4 X YY         */
+    mpz_mul(t, Z, Z);
+    mpz_mod(t, t, q);
+    mpz_mul(m, t, t);                   /* Z^4                */
+    mpz_mul(t, X, X);
+    mpz_addmul_ui(m, t, 3);
+    mpz_mod(m, m, q);                   /* M = 3 X^2 + Z^4    */
+    mpz_mul(Z, Y, Z);
+    mpz_mul_2exp(Z, Z, 1);
+    mpz_mod(Z, Z, q);                   /* Z' = 2 Y Z         */
+    mpz_mul(X, m, m);
+    mpz_submul_ui(X, s, 2);
+    mpz_mod(X, X, q);                   /* X' = M^2 - 2 S     */
+    mpz_sub(t, s, X);
+    mpz_mul(Y, m, t);
+    mpz_mul(t, yy, yy);
+    mpz_submul_ui(Y, t, 8);
+    mpz_mod(Y, Y, q);                   /* Y' = M (S - X') - 8 YY^2 */
+}
+
+/* (X, Y, Z) += (x, y, 1): mixed Jacobian + affine addition, falling back
+ * to doubling when the points coincide and to infinity for P + (-P). */
+static void ec_jadd_affine(mpz_t X, mpz_t Y, mpz_t Z, const mpz_t x,
+                           const mpz_t y, const mpz_t q, mpz_t u2, mpz_t s2,
+                           mpz_t h, mpz_t hh, mpz_t t) {
+    if (mpz_sgn(Z) == 0) {
+        mpz_set(X, x);
+        mpz_set(Y, y);
+        mpz_set_ui(Z, 1);
+        return;
+    }
+    mpz_mul(t, Z, Z);
+    mpz_mod(t, t, q);                   /* Z1Z1               */
+    mpz_mul(u2, x, t);
+    mpz_mod(u2, u2, q);                 /* U2 = x Z1Z1        */
+    mpz_mul(s2, t, Z);
+    mpz_mul(s2, s2, y);
+    mpz_mod(s2, s2, q);                 /* S2 = y Z1 Z1Z1     */
+    if (mpz_cmp(X, u2) == 0) {
+        if (mpz_cmp(Y, s2) != 0)
+            mpz_set_ui(Z, 0);           /* P + (-P) = O       */
+        else
+            ec_jdouble(X, Y, Z, q, u2, s2, h, t);
+        return;
+    }
+    mpz_sub(h, u2, X);
+    mpz_mod(h, h, q);                   /* H = U2 - X1        */
+    mpz_mul(hh, h, h);
+    mpz_mod(hh, hh, q);                 /* HH                 */
+    mpz_mul(Z, Z, h);
+    mpz_mod(Z, Z, q);                   /* Z3 = Z1 H          */
+    mpz_mul(h, h, hh);
+    mpz_mod(h, h, q);                   /* h := HHH           */
+    mpz_mul(hh, X, hh);
+    mpz_mod(hh, hh, q);                 /* hh := V = X1 HH    */
+    mpz_sub(s2, s2, Y);
+    mpz_mod(s2, s2, q);                 /* s2 := R = S2 - Y1  */
+    mpz_mul(Y, Y, h);                   /* Y := Y1 HHH        */
+    mpz_mul(X, s2, s2);
+    mpz_sub(X, X, h);
+    mpz_submul_ui(X, hh, 2);
+    mpz_mod(X, X, q);                   /* X3 = R^2 - HHH - 2 V */
+    mpz_sub(t, hh, X);
+    mpz_mul(t, t, s2);
+    mpz_sub(Y, t, Y);
+    mpz_mod(Y, Y, q);                   /* Y3 = R (V - X3) - Y1 HHH */
+}
+
+/* k * (x, y) on y^2 = x^3 + x over GF(q), by the same left-to-right
+ * double-and-add ladder as repro.crypto.ec.ec_mul_pure.  k is a
+ * non-negative k_width-byte big-endian scalar (the caller folds a sign
+ * into y).  Returns 0 with the affine result in out_buf (x then y), 1
+ * for the point at infinity, -1 if the final Z is not invertible. */
+int spx_ec_mul(const uint8_t *mod_buf, size_t width, const uint8_t *x_buf,
+               const uint8_t *y_buf, const uint8_t *k_buf, size_t k_width,
+               uint8_t *out_buf) {
+    mpz_t q, x, y, k, X, Y, Z, t1, t2, t3, t4, t5;
+    long bit;
+    int rc = 0;
+    mpz_inits(q, x, y, k, X, Y, Z, t1, t2, t3, t4, t5, NULL);
+    import_be(q, mod_buf, width);
+    import_be(x, x_buf, width);
+    import_be(y, y_buf, width);
+    import_be(k, k_buf, k_width);
+    mpz_mod(x, x, q);
+    mpz_mod(y, y, q);
+    mpz_set_ui(Z, 0);
+    if (mpz_sgn(k) != 0) {
+        for (bit = (long)mpz_sizeinbase(k, 2) - 1; bit >= 0; bit--) {
+            ec_jdouble(X, Y, Z, q, t1, t2, t3, t4);
+            if (mpz_tstbit(k, (mp_bitcnt_t)bit))
+                ec_jadd_affine(X, Y, Z, x, y, q, t1, t2, t3, t4, t5);
+        }
+    }
+    if (mpz_sgn(Z) == 0)
+        rc = 1;
+    else if (!mpz_invert(t1, Z, q))
+        rc = -1;
+    else {
+        mpz_mul(t2, t1, t1);
+        mpz_mod(t2, t2, q);             /* Z^-2 */
+        mpz_mul(X, X, t2);
+        mpz_mod(X, X, q);
+        mpz_mul(t2, t2, t1);
+        mpz_mul(Y, Y, t2);
+        mpz_mod(Y, Y, q);
+        export_be(out_buf, width, X);
+        export_be(out_buf + width, width, Y);
+    }
+    mpz_clears(q, x, y, k, X, Y, Z, t1, t2, t3, t4, t5, NULL);
+    return rc;
+}
+
 /* -- GF(q^2) exponentiation ------------------------------------------------ */
 
 int spx_fq2_pow(const uint8_t *mod_buf, size_t width, const uint8_t *a_buf,

@@ -2,7 +2,8 @@
 
 The pure *tier* is simply the existing code in
 :mod:`repro.crypto.numbers` / :mod:`repro.crypto.fq2` /
-:mod:`repro.crypto.pairing` running with no backend installed — this
+:mod:`repro.crypto.ec` / :mod:`repro.crypto.pairing` running with no
+backend installed — this
 module is not on any hot path.  What it provides is a
 :class:`PureKernels` object with the **same call signatures** as the
 compiled :class:`~repro.crypto.accel._compiled.GmpKernels`, built from
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import repro.crypto.ec as _ec
 import repro.crypto.numbers as _numbers
 
 
@@ -40,6 +42,10 @@ class PureKernels:
     @staticmethod
     def batch_modinv(values: Sequence[int], m: int) -> list[int]:
         return _numbers._batch_modinv_pure(values, m)
+
+    @staticmethod
+    def ec_mul(q: int, x: int, y: int, k: int) -> "tuple[int, int] | None":
+        return _ec.ec_mul_pure(q, x, y, k)
 
     @staticmethod
     def fq2_pow(q: int, a: int, b: int, exponent: int) -> tuple[int, int]:

@@ -8,7 +8,8 @@ paper's CP-ABE construction (section III-A/C) assumes.
 
 G0 is the order-r subgroup of E(GF(q)), reached by multiplying random
 curve points by the cofactor h = (q + 1) / r. Scalar multiplication uses
-Jacobian coordinates internally to avoid per-step modular inversions.
+Jacobian coordinates internally to avoid per-step modular inversions; on
+the compiled tier the whole ladder runs in the GMP kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from dataclasses import dataclass
 from repro.crypto.numbers import is_prime, legendre_symbol, modinv, sqrt_mod
 
 __all__ = ["CurveParams", "Point"]
+
+# Installed by repro.crypto.accel: the compiled kernel table (its ec_mul
+# replaces ec_mul_pure), or None on the pure tier.
+_KERNELS = None
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,65 @@ class CurveParams:
         )
 
 
+def ec_mul_pure(q: int, x: int, y: int, k: int) -> "tuple[int, int] | None":
+    """``k * (x, y)`` on y^2 = x^3 + x over GF(q); ``None`` is infinity.
+
+    Double-and-add in Jacobian coordinates (X/Z^2, Y/Z^3) with mixed
+    addition of the affine base, so the whole ladder costs one inversion.
+    This is the reference tier; the compiled tier runs the same ladder
+    in ``_kernel.c`` (``spx_ec_mul``).
+    """
+    if k == 0:
+        return None
+    x, y, k = x % q, (y if k > 0 else -y) % q, abs(k)
+
+    def jdouble(X: int, Y: int, Z: int) -> tuple[int, int, int]:
+        if Z == 0 or Y == 0:
+            return 0, 1, 0
+        YY = Y * Y % q
+        S = 4 * X * YY % q
+        ZZ = Z * Z % q
+        # M = 3 X^2 + a Z^4 with a = 1
+        M = (3 * X * X + ZZ * ZZ) % q
+        X2 = (M * M - 2 * S) % q
+        Y2 = (M * (S - X2) - 8 * YY * YY) % q
+        Z2 = 2 * Y * Z % q
+        return X2, Y2, Z2
+
+    def jadd(X1: int, Y1: int, Z1: int) -> tuple[int, int, int]:
+        """(X1, Y1, Z1) + (x, y, 1)."""
+        if Z1 == 0:
+            return x, y, 1
+        Z1Z1 = Z1 * Z1 % q
+        U2 = x * Z1Z1 % q
+        S2 = y * Z1 * Z1Z1 % q
+        if X1 == U2:
+            if Y1 != S2:
+                return 0, 1, 0  # P + (-P)
+            return jdouble(X1, Y1, Z1)
+        H = (U2 - X1) % q
+        HH = H * H % q
+        HHH = H * HH % q
+        Rv = (S2 - Y1) % q
+        V = X1 * HH % q
+        X3 = (Rv * Rv - HHH - 2 * V) % q
+        Y3 = (Rv * (V - X3) - Y1 * HHH) % q
+        Z3 = Z1 * H % q
+        return X3, Y3, Z3
+
+    Xr, Yr, Zr = 0, 1, 0  # point at infinity
+    for bit in bin(k)[2:]:
+        Xr, Yr, Zr = jdouble(Xr, Yr, Zr)
+        if bit == "1":
+            Xr, Yr, Zr = jadd(Xr, Yr, Zr)
+
+    if Zr == 0:
+        return None
+    z_inv = modinv(Zr, q)
+    z_inv2 = z_inv * z_inv % q
+    return Xr * z_inv2 % q, Yr * z_inv2 * z_inv % q
+
+
 class Point:
     """An affine point on a type-A curve (or the point at infinity)."""
 
@@ -164,69 +228,14 @@ class Point:
     __rmul__ = __mul__
 
     def _scalar_mul(self, scalar: int) -> "Point":
-        """Double-and-add in Jacobian coordinates (X/Z^2, Y/Z^3)."""
+        """``scalar * self`` on the installed tier's ladder."""
         if self.infinity:
             return self
-        if scalar < 0:
-            return (-self)._scalar_mul(-scalar)
-        if scalar == 0:
+        ec_mul = _KERNELS.ec_mul if _KERNELS is not None else ec_mul_pure
+        xy = ec_mul(self.curve.q, self.x, self.y, scalar)
+        if xy is None:
             return self.curve.infinity()
-
-        q = self.curve.q
-        # Jacobian doubling/addition for y^2 = x^3 + a x, a = 1.
-        X1, Y1, Z1 = self.x, self.y, 1
-        Xr, Yr, Zr = 0, 1, 0  # point at infinity
-
-        def jdouble(X: int, Y: int, Z: int) -> tuple[int, int, int]:
-            if Z == 0 or Y == 0:
-                return 0, 1, 0
-            YY = Y * Y % q
-            S = 4 * X * YY % q
-            ZZ = Z * Z % q
-            # M = 3 X^2 + a Z^4 with a = 1
-            M = (3 * X * X + ZZ * ZZ) % q
-            X2 = (M * M - 2 * S) % q
-            Y2 = (M * (S - X2) - 8 * YY * YY) % q
-            Z2 = 2 * Y * Z % q
-            return X2, Y2, Z2
-
-        def jadd(
-            X1: int, Y1: int, Z1: int, X2: int, Y2: int, Z2: int
-        ) -> tuple[int, int, int]:
-            if Z1 == 0:
-                return X2, Y2, Z2
-            if Z2 == 0:
-                return X1, Y1, Z1
-            Z1Z1 = Z1 * Z1 % q
-            Z2Z2 = Z2 * Z2 % q
-            U1 = X1 * Z2Z2 % q
-            U2 = X2 * Z1Z1 % q
-            S1 = Y1 * Z2 * Z2Z2 % q
-            S2 = Y2 * Z1 * Z1Z1 % q
-            if U1 == U2:
-                if S1 != S2:
-                    return 0, 1, 0
-                return jdouble(X1, Y1, Z1)
-            H = (U2 - U1) % q
-            HH = H * H % q
-            HHH = H * HH % q
-            Rv = (S2 - S1) % q
-            V = U1 * HH % q
-            X3 = (Rv * Rv - HHH - 2 * V) % q
-            Y3 = (Rv * (V - X3) - S1 * HHH) % q
-            Z3 = Z1 * Z2 * H % q
-            return X3, Y3, Z3
-
-        for bit in bin(scalar)[2:]:
-            Xr, Yr, Zr = jdouble(Xr, Yr, Zr)
-            if bit == "1":
-                Xr, Yr, Zr = jadd(Xr, Yr, Zr, X1, Y1, Z1)
-
-        if Zr == 0:
-            return self.curve.infinity()
-        z_inv = modinv(Zr, q)
-        z_inv2 = z_inv * z_inv % q
-        return Point(self.curve, Xr * z_inv2 % q, Yr * z_inv2 * z_inv % q)
+        return Point(self.curve, xy[0], xy[1])
 
     # -- encoding --------------------------------------------------------------------
 

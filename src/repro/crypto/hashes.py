@@ -1,25 +1,24 @@
-"""Hash functions implemented from scratch.
+"""Hash functions, backed by the standard library's :mod:`hashlib`.
 
 The paper's Implementation 1 computes all hashes with CryptoJS's SHA-3
 (Keccak) and Implementation 2 with OpenSSL's SHA-1; the security analysis
-only requires "a cryptographically secure hash function H". This module
-implements all three families from their specifications:
+only requires "a cryptographically secure hash function H". Like the
+paper's Implementation 2, this module runs on OpenSSL's compiled digests
+(through :mod:`hashlib`):
 
-* :class:`SHA1` — FIPS 180-4 (160-bit Merkle–Damgard).
-* :class:`SHA256` — FIPS 180-4 (256-bit Merkle–Damgard).
-* :class:`Keccak` / :func:`sha3_256` etc. — FIPS 202 sponge construction.
+* :class:`_MerkleDamgard` — SHA-1 and SHA-256 (FIPS 180-4).
+* :class:`Keccak` / :func:`sha3_256` etc. — SHA-3 (FIPS 202).
 
-Each class follows the incremental ``update()/digest()`` hashlib protocol
-and is cross-validated against :mod:`hashlib` in the test suite.
+The thin wrapper classes pin the set of algorithms the protocols may
+name and keep the incremental ``update()/digest()`` protocol; the test
+suite checks them against the FIPS known-answer vectors.
 """
 
 from __future__ import annotations
 
-import struct
+import hashlib
 
 __all__ = [
-    "SHA1",
-    "SHA256",
     "Keccak",
     "sha1",
     "sha256",
@@ -30,284 +29,67 @@ __all__ = [
     "new",
 ]
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
+class _Hash:
+    """An incremental hash over one :mod:`hashlib` object."""
 
-def _rotl32(x: int, n: int) -> int:
-    return ((x << n) | (x >> (32 - n))) & _MASK32
-
-
-def _rotr32(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK32
-
-
-def _rotl64(x: int, n: int) -> int:
-    n %= 64
-    return ((x << n) | (x >> (64 - n))) & _MASK64
-
-
-class _MerkleDamgard:
-    """Shared machinery for the 32-bit-word SHA family."""
-
-    block_size = 64
-    digest_size = 0
-    name = ""
-
-    def __init__(self, data: bytes = b""):
-        self._h = list(self._initial_state())
-        self._buffer = b""
-        self._length = 0
+    def __init__(self, name: str, data: bytes = b""):
+        self._hash = hashlib.new(name)
         if data:
             self.update(data)
 
-    def _initial_state(self) -> tuple[int, ...]:
-        raise NotImplementedError
+    @property
+    def name(self) -> str:
+        return self._hash.name
 
-    def _compress(self, block: bytes) -> None:
-        raise NotImplementedError
+    @property
+    def digest_size(self) -> int:
+        return self._hash.digest_size
+
+    @property
+    def block_size(self) -> int:
+        return self._hash.block_size
 
     def update(self, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError("update() expects bytes-like data")
-        data = bytes(data)
-        self._length += len(data)
-        self._buffer += data
-        while len(self._buffer) >= self.block_size:
-            self._compress(self._buffer[: self.block_size])
-            self._buffer = self._buffer[self.block_size :]
+        self._hash.update(data)
 
     def copy(self):
-        clone = type(self)()
-        clone._h = list(self._h)
-        clone._buffer = self._buffer
-        clone._length = self._length
+        clone = object.__new__(type(self))
+        clone._hash = self._hash.copy()
         return clone
 
     def digest(self) -> bytes:
-        clone = self.copy()
-        bit_length = clone._length * 8
-        clone._buffer += b"\x80"
-        while len(clone._buffer) % clone.block_size != 56:
-            clone._buffer += b"\x00"
-        clone._buffer += struct.pack(">Q", bit_length)
-        while clone._buffer:
-            clone._compress(clone._buffer[: clone.block_size])
-            clone._buffer = clone._buffer[clone.block_size :]
-        return b"".join(struct.pack(">I", h) for h in clone._h)
+        return self._hash.digest()
 
     def hexdigest(self) -> str:
-        return self.digest().hex()
+        return self._hash.hexdigest()
 
 
-class SHA1(_MerkleDamgard):
-    """SHA-1 per FIPS 180-4.
+class _MerkleDamgard(_Hash):
+    """SHA-1 or SHA-256, the 32-bit-word SHA family of FIPS 180-4.
 
-    Included because the paper's Implementation 2 hashes answers with
-    OpenSSL's SHA-1. (SHA-1 is collision-broken; the reproduction defaults
-    to SHA3-256 and only uses SHA-1 where fidelity to the paper matters.)
+    SHA-1 is included because the paper's Implementation 2 hashes answers
+    with OpenSSL's SHA-1. (SHA-1 is collision-broken; the reproduction
+    defaults to SHA3-256 and only uses SHA-1 where fidelity to the paper
+    matters.)
     """
 
-    digest_size = 20
-    name = "sha1"
 
-    def _initial_state(self) -> tuple[int, ...]:
-        return (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
+class Keccak(_Hash):
+    """SHA-3 (FIPS 202) with a 28-, 32-, 48- or 64-byte digest."""
 
-    def _compress(self, block: bytes) -> None:
-        w = list(struct.unpack(">16I", block))
-        for i in range(16, 80):
-            w.append(_rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1))
-        a, b, c, d, e = self._h
-        for i in range(80):
-            if i < 20:
-                f = (b & c) | (~b & d)
-                k = 0x5A827999
-            elif i < 40:
-                f = b ^ c ^ d
-                k = 0x6ED9EBA1
-            elif i < 60:
-                f = (b & c) | (b & d) | (c & d)
-                k = 0x8F1BBCDC
-            else:
-                f = b ^ c ^ d
-                k = 0xCA62C1D6
-            temp = (_rotl32(a, 5) + f + e + k + w[i]) & _MASK32
-            e, d, c, b, a = d, c, _rotl32(b, 30), a, temp
-        self._h = [
-            (self._h[0] + a) & _MASK32,
-            (self._h[1] + b) & _MASK32,
-            (self._h[2] + c) & _MASK32,
-            (self._h[3] + d) & _MASK32,
-            (self._h[4] + e) & _MASK32,
-        ]
-
-
-_SHA256_K = (
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1,
-    0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
-    0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174, 0xE49B69C1, 0xEFBE4786,
-    0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
-    0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
-    0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85, 0xA2BFE8A1, 0xA81A664B,
-    0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A,
-    0x5B9CCA4F, 0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-)
-
-
-class SHA256(_MerkleDamgard):
-    """SHA-256 per FIPS 180-4."""
-
-    digest_size = 32
-    name = "sha256"
-
-    def _initial_state(self) -> tuple[int, ...]:
-        return (
-            0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-            0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-        )
-
-    def _compress(self, block: bytes) -> None:
-        w = list(struct.unpack(">16I", block))
-        for i in range(16, 64):
-            s0 = _rotr32(w[i - 15], 7) ^ _rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3)
-            s1 = _rotr32(w[i - 2], 17) ^ _rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10)
-            w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK32)
-        a, b, c, d, e, f, g, h = self._h
-        for i in range(64):
-            s1 = _rotr32(e, 6) ^ _rotr32(e, 11) ^ _rotr32(e, 25)
-            ch = (e & f) ^ (~e & g)
-            temp1 = (h + s1 + ch + _SHA256_K[i] + w[i]) & _MASK32
-            s0 = _rotr32(a, 2) ^ _rotr32(a, 13) ^ _rotr32(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            temp2 = (s0 + maj) & _MASK32
-            h, g, f, e, d, c, b, a = (
-                g, f, e, (d + temp1) & _MASK32, c, b, a, (temp1 + temp2) & _MASK32,
-            )
-        self._h = [
-            (old + new) & _MASK32
-            for old, new in zip(self._h, (a, b, c, d, e, f, g, h))
-        ]
-
-
-# Keccak round constants and rotation offsets, FIPS 202 / Keccak reference.
-_KECCAK_RC = (
-    0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
-    0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
-    0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
-    0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
-    0x000000008000808B, 0x800000000000008B, 0x8000000000008089,
-    0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-    0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
-    0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-)
-
-_KECCAK_ROT = (
-    (0, 36, 3, 41, 18),
-    (1, 44, 10, 45, 2),
-    (62, 6, 43, 15, 61),
-    (28, 55, 25, 21, 56),
-    (27, 20, 39, 8, 14),
-)
-
-
-def _keccak_f1600(state: list[int]) -> None:
-    """The Keccak-f[1600] permutation over a 5x5 lane state (in place).
-
-    ``state`` is a flat list of 25 64-bit lanes indexed ``x + 5 * y``.
-    """
-    for rc in _KECCAK_RC:
-        # theta
-        c = [
-            state[x] ^ state[x + 5] ^ state[x + 10] ^ state[x + 15] ^ state[x + 20]
-            for x in range(5)
-        ]
-        d = [c[(x - 1) % 5] ^ _rotl64(c[(x + 1) % 5], 1) for x in range(5)]
-        for x in range(5):
-            for y in range(5):
-                state[x + 5 * y] ^= d[x]
-        # rho + pi
-        b = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                b[y + 5 * ((2 * x + 3 * y) % 5)] = _rotl64(
-                    state[x + 5 * y], _KECCAK_ROT[x][y]
-                )
-        # chi
-        for x in range(5):
-            for y in range(5):
-                state[x + 5 * y] = b[x + 5 * y] ^ (
-                    ~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y]
-                )
-        # iota
-        state[0] ^= rc
-
-
-class Keccak:
-    """The Keccak sponge with SHA-3 padding (FIPS 202).
-
-    ``capacity_bits`` must be twice the digest size in bits for the
-    standard SHA-3 instances. ``domain`` selects the padding suffix:
-    0x06 for SHA-3, 0x01 for legacy Keccak (as used by e.g. CryptoJS in
-    "Keccak" mode).
-    """
-
-    def __init__(self, digest_size: int, data: bytes = b"", domain: int = 0x06):
+    def __init__(self, digest_size: int, data: bytes = b""):
         if digest_size not in (28, 32, 48, 64):
             raise ValueError("unsupported Keccak digest size %d" % digest_size)
-        self.digest_size = digest_size
-        self.name = "sha3_%d" % (digest_size * 8)
-        self._rate = 200 - 2 * digest_size  # bytes
-        self.block_size = self._rate
-        self._domain = domain
-        self._state = [0] * 25
-        self._buffer = b""
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError("update() expects bytes-like data")
-        self._buffer += bytes(data)
-        while len(self._buffer) >= self._rate:
-            self._absorb(self._buffer[: self._rate])
-            self._buffer = self._buffer[self._rate :]
-
-    def _absorb(self, block: bytes) -> None:
-        for i in range(len(block) // 8):
-            self._state[i] ^= struct.unpack_from("<Q", block, i * 8)[0]
-        _keccak_f1600(self._state)
-
-    def copy(self) -> "Keccak":
-        clone = Keccak(self.digest_size, domain=self._domain)
-        clone._state = list(self._state)
-        clone._buffer = self._buffer
-        return clone
-
-    def digest(self) -> bytes:
-        clone = self.copy()
-        pad_len = clone._rate - len(clone._buffer)
-        if pad_len == 1:
-            padding = bytes([clone._domain | 0x80])
-        else:
-            padding = bytes([clone._domain]) + b"\x00" * (pad_len - 2) + b"\x80"
-        clone._absorb(clone._buffer + padding)
-        out = b"".join(struct.pack("<Q", lane) for lane in clone._state)
-        return out[: clone.digest_size]
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
+        super().__init__("sha3_%d" % (digest_size * 8), data)
 
 
-def sha1(data: bytes = b"") -> SHA1:
-    return SHA1(data)
+def sha1(data: bytes = b"") -> _MerkleDamgard:
+    return _MerkleDamgard("sha1", data)
 
 
-def sha256(data: bytes = b"") -> SHA256:
-    return SHA256(data)
+def sha256(data: bytes = b"") -> _MerkleDamgard:
+    return _MerkleDamgard("sha256", data)
 
 
 def sha3_224(data: bytes = b"") -> Keccak:

@@ -1,14 +1,17 @@
-"""HMAC (FIPS 198-1) over the from-scratch hash functions.
+"""HMAC (FIPS 198-1) on the standard library's :mod:`hmac`.
 
 Also provides :func:`keyed_hash`, the puzzle-keyed answer hash
 ``H(a_i, K_Z)`` of the paper's Construction 1 — implemented as HMAC with
 the puzzle key so that answer digests are bound to a specific puzzle and
 cannot be precomputed across puzzles (rainbow-table resistance, as the
 paper's security analysis assumes).
+
+``digestmod`` names one of the :mod:`repro.crypto.hashes` algorithms.
 """
 
 from __future__ import annotations
 
+import hmac
 from typing import Callable
 
 from repro.crypto import hashes
@@ -16,8 +19,16 @@ from repro.crypto import hashes
 __all__ = ["HMAC", "hmac_digest", "keyed_hash", "constant_time_compare"]
 
 
+def _checked(digestmod):
+    """``digestmod`` for :mod:`hmac`, rejecting names :mod:`hashes` lacks."""
+    if isinstance(digestmod, str) and digestmod not in hashes._CONSTRUCTORS:
+        raise ValueError("unsupported hash algorithm %r" % digestmod)
+    return digestmod
+
+
 class HMAC:
-    """HMAC with any of the :mod:`repro.crypto.hashes` constructors."""
+    """HMAC with any of the :mod:`repro.crypto.hashes` algorithms (by name
+    or constructor)."""
 
     def __init__(
         self,
@@ -25,44 +36,29 @@ class HMAC:
         msg: bytes = b"",
         digestmod: str | Callable[..., object] = "sha3_256",
     ):
-        if isinstance(digestmod, str):
-            self._new = lambda d=b"": hashes.new(digestmod, d)
-        else:
-            self._new = digestmod  # type: ignore[assignment]
-        probe = self._new()
-        self.digest_size = probe.digest_size
-        block_size = probe.block_size
+        self._mac = hmac.new(key, msg, _checked(digestmod))
 
-        if len(key) > block_size:
-            key = self._new(key).digest()
-        key = key.ljust(block_size, b"\x00")
-        self._outer_key = bytes(b ^ 0x5C for b in key)
-        self._inner = self._new(bytes(b ^ 0x36 for b in key))
-        if msg:
-            self._inner.update(msg)
+    @property
+    def digest_size(self) -> int:
+        return self._mac.digest_size
 
     def update(self, msg: bytes) -> None:
-        self._inner.update(msg)
+        self._mac.update(msg)
 
     def copy(self) -> "HMAC":
         clone = object.__new__(HMAC)
-        clone._new = self._new
-        clone.digest_size = self.digest_size
-        clone._outer_key = self._outer_key
-        clone._inner = self._inner.copy()
+        clone._mac = self._mac.copy()
         return clone
 
     def digest(self) -> bytes:
-        outer = self._new(self._outer_key)
-        outer.update(self._inner.digest())
-        return outer.digest()
+        return self._mac.digest()
 
     def hexdigest(self) -> str:
-        return self.digest().hex()
+        return self._mac.hexdigest()
 
 
 def hmac_digest(key: bytes, msg: bytes, digestmod: str = "sha3_256") -> bytes:
-    return HMAC(key, msg, digestmod).digest()
+    return hmac.digest(key, msg, _checked(digestmod))
 
 
 def keyed_hash(answer: bytes, puzzle_key: bytes, digestmod: str = "sha3_256") -> bytes:
@@ -72,9 +68,4 @@ def keyed_hash(answer: bytes, puzzle_key: bytes, digestmod: str = "sha3_256") ->
 
 def constant_time_compare(a: bytes, b: bytes) -> bool:
     """Timing-safe equality for digests."""
-    if len(a) != len(b):
-        return False
-    result = 0
-    for x, y in zip(a, b):
-        result |= x ^ y
-    return result == 0
+    return hmac.compare_digest(a, b)

@@ -421,6 +421,12 @@ class TcpSmartServer(SmartServer):
                 return
 
     def stop(self) -> None:
+        # On Linux close() alone does not wake a thread blocked in
+        # accept(); shutting the listener down does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already shut down, or not connected (other OSes)
+            pass
         self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=10.0)

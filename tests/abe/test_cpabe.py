@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import secrets
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +42,13 @@ class TestSetup:
         pk1, _ = abe.setup()
         pk2, _ = abe.setup()
         assert pk1.g != pk2.g or pk1.h != pk2.h
+
+    def test_attribute_point_memoized(self, abe):
+        from repro.crypto.hash_to_group import hash_to_g0
+
+        point = abe._attr_point("pa")
+        assert point == hash_to_g0(TOY, b"pa")
+        assert abe._attr_point("pa") is point
 
 
 class TestElementRoundTrip:

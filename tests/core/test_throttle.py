@@ -237,3 +237,29 @@ class TestGuessThrottle:
 
         with pytest.raises(ValueError):
             GuessThrottle(max_failures=0)
+
+    def test_read_paths_allocate_no_state(self):
+        """Probing many requesters must not grow the budget table; only a
+        failure creates state, and lockout/reset behave as before."""
+        from repro.core.throttle import GuessThrottle
+
+        throttle = GuessThrottle(max_failures=2)
+        for i in range(1000):
+            name = "probe-%d" % i
+            throttle.check(3, name)
+            assert throttle.failures_for(3, name) == 0
+            assert not throttle.is_locked(3, name)
+            throttle.record_success(3, name)
+        assert throttle._budgets == {}
+
+        throttle.record_failure(3, "eve")
+        throttle.record_failure(3, "eve")
+        assert throttle.is_locked(3, "eve")
+        with pytest.raises(ThrottledError):
+            throttle.check(3, "eve")
+        throttle.record_success(3, "eve")  # resets the count, not the lock
+        assert throttle.failures_for(3, "eve") == 0
+        assert throttle.is_locked(3, "eve")
+        throttle.unlock(3, "eve")
+        throttle.check(3, "eve")
+        assert throttle._budgets == {}

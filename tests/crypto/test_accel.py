@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.crypto import accel
+from repro.crypto import ec as ec_mod
 from repro.crypto import field as field_mod
 from repro.crypto import fq2 as fq2_mod
 from repro.crypto import numbers
@@ -147,6 +148,89 @@ class TestKernelEquivalence:
             backend.miller_merged(TOY.q, "101", [(5, 0, 5, 1, 2, 3, 0)], 1)
 
 
+def _affine_mul(params, x, y, k):
+    """k·(x, y) by repeated affine addition: ground truth for small k."""
+    acc = params.infinity()
+    point = params.point(x, y)
+    for _ in range(abs(k)):
+        acc = acc + point
+    acc = -acc if k < 0 else acc
+    return None if acc.infinity else (acc.x, acc.y)
+
+
+class TestEcMulKernel:
+    """``ec_mul`` on both backends: ground truth, then edge cases of the
+    ladder (infinity results, P + (-P), doubling inside an add)."""
+
+    @pytest.fixture(scope="class", params=[TOY, SMALL], ids=lambda p: p.name)
+    def g0(self, request):
+        params = request.param
+        rng = random.Random(params.r)
+        while True:
+            point = params.lift_x(rng.randrange(params.q))
+            if point is not None:
+                break
+        g = point * params.h
+        return params, point, g
+
+    def test_small_scalars_match_repeated_addition(self, backend, g0):
+        params, _, g = g0
+        for k in range(-5, 12):
+            assert backend.ec_mul(params.q, g.x, g.y, k) == _affine_mul(
+                params, g.x, g.y, k
+            ), k
+
+    def test_zero_and_one(self, backend, g0):
+        params, _, g = g0
+        assert backend.ec_mul(params.q, g.x, g.y, 0) is None
+        assert backend.ec_mul(params.q, g.x, g.y, 1) == (g.x, g.y)
+
+    def test_order_r_reaches_infinity(self, backend, g0):
+        """k = r: the last add is P + (-P)."""
+        params, _, g = g0
+        assert backend.ec_mul(params.q, g.x, g.y, params.r) is None
+        assert backend.ec_mul(params.q, g.x, g.y, -params.r) is None
+
+    def test_doubling_inside_add(self, backend, g0):
+        """k = r + 2: before the last add the accumulator equals P."""
+        params, _, g = g0
+        double = g + g
+        got = backend.ec_mul(params.q, g.x, g.y, params.r + 2)
+        assert got == (double.x, double.y)
+
+    def test_cofactor_lands_in_g0(self, backend, g0):
+        params, point, g = g0
+        assert backend.ec_mul(params.q, point.x, point.y, params.h) == (g.x, g.y)
+        assert backend.ec_mul(params.q, g.x, g.y, params.r - 1) == (
+            g.x, (-g.y) % params.q
+        )
+
+    def test_negative_scalar_negates(self, backend, g0):
+        params, _, g = g0
+        k = random.Random(7).randrange(1, params.r)
+        x, y = backend.ec_mul(params.q, g.x, g.y, k)
+        assert backend.ec_mul(params.q, g.x, g.y, -k) == (x, (-y) % params.q)
+
+    def test_order_two_point(self, backend, g0):
+        """(0, 0) has y = 0: doubling it gives infinity."""
+        params = g0[0]
+        assert backend.ec_mul(params.q, 0, 0, 1) == (0, 0)
+        assert backend.ec_mul(params.q, 0, 0, 2) is None
+        assert backend.ec_mul(params.q, 0, 0, 3) == (0, 0)
+        assert backend.ec_mul(params.q, 0, 0, 1 << 100) is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_backends_agree_on_random_scalars(self, g0, seed):
+        params, point, _ = g0
+        rng = random.Random(seed)
+        for _ in range(5):
+            k = rng.randrange(-(1 << 200), 1 << 200)
+            results = {
+                backend.ec_mul(params.q, point.x, point.y, k) for backend in BACKENDS
+            }
+            assert len(results) == 1, k
+
+
 class TestBatchModinvErrorPath:
     """Satellite fix: documented, attributed errors in both tiers."""
 
@@ -215,6 +299,7 @@ class TestTierSelection:
         accel.set_tier("pure")
         assert numbers._BACKEND is None
         assert fq2_mod._BACKEND is None
+        assert ec_mod._KERNELS is None
         assert pairing_mod._KERNELS is None
         assert field_mod._MULMOD is None
         state = accel.active()
@@ -228,6 +313,7 @@ class TestTierSelection:
         assert state.library and state.library.endswith(".so")
         assert numbers._BACKEND is COMPILED
         assert fq2_mod._BACKEND is COMPILED
+        assert ec_mod._KERNELS is COMPILED
         assert pairing_mod._KERNELS is COMPILED
 
     @needs_compiled

@@ -1,5 +1,5 @@
-"""Tests for the from-scratch hash functions, cross-validated against
-hashlib and official test vectors."""
+"""Tests for the hash wrappers: FIPS 180-4/202 known-answer vectors and
+the incremental protocol, cross-checked against hashlib."""
 
 from __future__ import annotations
 
@@ -137,17 +137,3 @@ class TestErrors:
         h = hashes.sha256()
         h.update(memoryview(data))
         assert h.digest() == hashes.sha256(data).digest()
-
-
-class TestLegacyKeccakDomain:
-    def test_keccak_0x01_padding_differs_from_sha3(self):
-        """CryptoJS's 'Keccak' mode uses the original 0x01 padding; it must
-        differ from FIPS-202 SHA-3 on the same input."""
-        legacy = hashes.Keccak(32, b"abc", domain=0x01)
-        standard = hashes.Keccak(32, b"abc", domain=0x06)
-        assert legacy.digest() != standard.digest()
-        # Known Keccak-256("") vector (pre-standardization).
-        assert (
-            hashes.Keccak(32, b"", domain=0x01).hexdigest()
-            == "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
-        )

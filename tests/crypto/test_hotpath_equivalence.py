@@ -311,6 +311,22 @@ class TestCrossTier:
         )
         assert pure == compiled
 
+    @pytest.mark.parametrize("seed", [67, 68])
+    def test_point_mul_agrees(self, seed):
+        rng = random.Random(seed)
+        base = _seeded_points(seed, 1)[0]
+        raw = TOY.lift_x(next(x for x in range(2, 64) if TOY.lift_x(x)))
+        scalars = [0, 1, 2, R - 1, R, R + 2, -rng.randrange(1, R), TOY.h]
+        scalars += [rng.randrange(1 << 200) for _ in range(3)]
+
+        def run():
+            return ([base * k for k in scalars] + [raw * TOY.h, raw * -7]
+                    + [TOY.point(0, 0) * k for k in (1, 2, 3)])
+
+        pure, compiled = self._both_tiers(run)
+        assert pure == compiled
+        assert pure[4].infinity and pure[5] == base * 2
+
     @pytest.mark.parametrize("seed", [65, 66])
     def test_batch_modinv_agrees(self, seed):
         rng = random.Random(seed)

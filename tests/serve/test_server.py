@@ -219,6 +219,19 @@ def test_stop_unblocks_idle_connections():
         conn.close()
 
 
+def test_stop_wakes_the_idle_listener_promptly():
+    engine = PuzzleProtocolEngine(ServiceProvider(), StorageHost())
+    server = TcpSmartServer(engine).start()
+    accept_thread = server._accept_thread
+    assert accept_thread.is_alive()
+    start = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - start < 0.5
+    assert not accept_thread.is_alive()
+    assert not any(t.name == "spw-accept" and t.is_alive()
+                   for t in threading.enumerate())
+
+
 def test_connections_are_tracked_per_peer():
     with SmartServer(EchoDispatcher()) as server:
         transport = InMemoryPipeTransport(server)
