@@ -6,15 +6,18 @@ compiled implementation over an always-tested pure-Python reference:
 
 * **pure** — the existing from-scratch Python in
   :mod:`repro.crypto.numbers`, :mod:`repro.crypto.fq2`,
-  :mod:`repro.crypto.field`, :mod:`repro.crypto.ec` and
-  :mod:`repro.crypto.pairing`.  Always
+  :mod:`repro.crypto.field`, :mod:`repro.crypto.ec`,
+  :mod:`repro.crypto.modes` and :mod:`repro.crypto.pairing`.  Always
   present, always the semantic reference.
-* **compiled** — GMP kernels built on first use by
+* **compiled** — kernels built on first use by
   :mod:`repro.crypto.accel._compiled` (``cc -O2 -shared`` against the
   system libgmp, loaded with ctypes) covering ``modinv`` /
   ``batch_modinv``, field ``mulmod``, G0 scalar multiplication (the
   whole Jacobian double-and-add ladder), GF(q²) exponentiation, the
-  Straus ``gt_multi_exp`` chain, and the whole merged Miller loop.
+  Straus ``gt_multi_exp`` chain, the whole merged Miller loop, and the
+  AES-CBC/CTR block chains (plain C over the round keys and T-tables of
+  :mod:`repro.crypto.aes`; like the pure tier, T-table AES is not
+  cache-timing constant-time).
 
 The tier is probed **once at import** of :mod:`repro.crypto` (the
 package ``__init__`` calls :func:`initialize`): by default the compiled
@@ -29,9 +32,10 @@ variable ``REPRO_CRYPTO_TIER`` overrides the probe:
 * unset or ``auto`` — probe, prefer compiled, fall back to pure.
 
 Selection is *per primitive*: installing the compiled tier routes the
-Miller loop, batch/scalar inversion and GF(q²) power chains through the
-kernels, but single base-field multiplications stay on native CPython
-ints unless the probe's calibration finds the FFI crossing profitable
+Miller loop, batch/scalar inversion, GF(q²) power chains and AES block
+chains through the kernels, but single base-field multiplications stay
+on native CPython ints unless the probe's calibration finds the FFI
+crossing profitable
 (it is not for ≤512-bit operands — one ``a*b % m`` is cheaper than one
 ctypes call).  Operation counters always tick in the Python wrappers, so
 ``Pairing.op_counts`` is tier-invariant.
@@ -121,6 +125,7 @@ def _install(kernels, requested: str, reason: "str | None") -> "TierState":
     import repro.crypto.ec as ec
     import repro.crypto.field as field
     import repro.crypto.fq2 as fq2
+    import repro.crypto.modes as modes
     import repro.crypto.numbers as numbers
     import repro.crypto.pairing as pairing
 
@@ -128,6 +133,7 @@ def _install(kernels, requested: str, reason: "str | None") -> "TierState":
     numbers._BACKEND = kernels
     fq2._BACKEND = kernels
     ec._KERNELS = kernels
+    modes._KERNELS = kernels
     pairing._KERNELS = kernels
     field._MULMOD = kernels.mulmod if use_mulmod else None
     return TierState(

@@ -13,11 +13,12 @@ turns that silent degradation into a hard error.
 Marshalling: every big integer crosses the FFI boundary as a
 fixed-width big-endian byte string sized to the modulus, so the kernels
 are width-agnostic (the TOY/SMALL/DEFAULT presets all use the same
-entry points).
+entry points).  The AES block chains take bytes in and out, plus the
+round-key words and the T-tables of :mod:`repro.crypto.aes`.
 
 The probe ends with known-answer self-tests against the pure-Python
-reference implementations, so a miscompiled or ABI-skewed library can
-never be selected.
+reference implementations and, for AES, the FIPS-197 and SP 800-38A
+vectors, so a miscompiled or ABI-skewed library can never be selected.
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ def _build_library() -> str:
 class GmpKernels:
     """ctypes face of the compiled kernel library.
 
-    All methods take and return plain Python ints (plus int tuples for
-    GF(q²) elements); the byte-string marshalling is internal.  Raises
+    The big-integer methods take and return plain Python ints (plus int
+    tuples for GF(q²) elements); the byte-string marshalling is
+    internal.  The AES chains take an expanded
+    :class:`~repro.crypto.aes.AES` and bytes, and return bytes.  Raises
     :class:`ZeroDivisionError`/:class:`ValueError` with the same
     semantics as the pure tier.
     """
@@ -122,7 +125,24 @@ class GmpKernels:
             ctypes.c_char_p, ctypes.POINTER(ctypes.c_int32),
             ctypes.c_size_t, ctypes.c_size_t, u8p,
         ]
+        u32p = ctypes.POINTER(ctypes.c_uint32)
+        for chain in (lib.spx_aes_cbc_encrypt, lib.spx_aes_cbc_decrypt,
+                      lib.spx_aes_ctr):
+            chain.restype = ctypes.c_int
+            chain.argtypes = [
+                u32p, ctypes.c_int, u32p, ctypes.c_char_p, ctypes.c_char_p,
+                ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p,
+            ]
         self._lib = lib
+        # The AES tables cross once, as arrays the kernels read through
+        # pointers on every call; the C side keeps no state of its own.
+        from repro.crypto import aes
+
+        tables = ctypes.c_uint32 * 1024
+        self._te = tables(*(aes._TE0 + aes._TE1 + aes._TE2 + aes._TE3))
+        self._td = tables(*(aes._TD0 + aes._TD1 + aes._TD2 + aes._TD3))
+        self._sbox = bytes(aes.SBOX)
+        self._inv_sbox = bytes(aes.INV_SBOX)
 
     # -- marshalling -----------------------------------------------------------
 
@@ -303,6 +323,88 @@ class GmpKernels:
             for g in range(n_groups)
         ]
 
+    # -- AES block chains -------------------------------------------------------
+
+    def _aes_chain(self, kernel, round_keys, table, box, iv, data, count) -> bytes:
+        iv, data = bytes(iv), bytes(data)  # any bytes-like, as on the pure tier
+        if len(iv) != 16:
+            raise ValueError("AES chain IV/counter must be 16 bytes")
+        out = ctypes.create_string_buffer(len(data))
+        rc = kernel(
+            (ctypes.c_uint32 * len(round_keys))(*round_keys),
+            len(round_keys) // 4 - 1, table, box, iv, data, count, out,
+        )
+        if rc != 0:
+            raise ValueError("AES kernel failed (rc=%d)" % rc)
+        return out.raw
+
+    @staticmethod
+    def _whole_blocks(data: bytes) -> int:
+        if len(data) % 16:
+            raise ValueError("AES-CBC data length %d is not whole blocks" % len(data))
+        return len(data) // 16
+
+    def aes_cbc_encrypt(self, cipher, iv: bytes, data: bytes) -> bytes:
+        """CBC-encrypt whole blocks under an expanded ``AES``."""
+        return self._aes_chain(
+            self._lib.spx_aes_cbc_encrypt, cipher._round_keys, self._te,
+            self._sbox, iv, data, self._whole_blocks(data),
+        )
+
+    def aes_cbc_decrypt(self, cipher, iv: bytes, data: bytes) -> bytes:
+        """CBC-decrypt whole blocks; unpadding stays with the caller."""
+        return self._aes_chain(
+            self._lib.spx_aes_cbc_decrypt, cipher._inv_round_keys, self._td,
+            self._inv_sbox, iv, data, self._whole_blocks(data),
+        )
+
+    def aes_ctr(self, cipher, nonce: bytes, data: bytes) -> bytes:
+        """CTR keystream XOR from the 128-bit counter ``nonce``."""
+        return self._aes_chain(
+            self._lib.spx_aes_ctr, cipher._round_keys, self._te, self._sbox,
+            nonce, data, len(data),
+        )
+
+
+def _self_test_aes(kernels: GmpKernels) -> None:
+    """FIPS-197 Appendix C and SP 800-38A F.2.1/F.5.1 known answers."""
+    from repro.crypto.aes import AES
+
+    plain = bytes.fromhex("00112233445566778899aabbccddeeff")
+    for key_hex, expect in (
+        ("000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"),
+        ("000102030405060708090a0b0c0d0e0f1011121314151617",
+         "dda97ca4864cdfe06eaf70a0ec0d7191"),
+        ("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+         "8ea2b7ca516745bfeafc49904b496089"),
+    ):
+        # One CBC block under a zero IV is the bare block transform.
+        cipher, zero = AES(bytes.fromhex(key_hex)), bytes(16)
+        block = bytes.fromhex(expect)
+        if (kernels.aes_cbc_encrypt(cipher, zero, plain) != block
+                or kernels.aes_cbc_decrypt(cipher, zero, block) != plain):
+            raise CompiledBackendUnavailable("self-test failed: AES FIPS-197")
+    cipher = AES(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+    plain = bytes.fromhex(
+        "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+        "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"
+    )
+    iv = bytes(range(16))
+    cbc = bytes.fromhex(
+        "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
+        "73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7"
+    )
+    if (kernels.aes_cbc_encrypt(cipher, iv, plain) != cbc
+            or kernels.aes_cbc_decrypt(cipher, iv, cbc) != plain):
+        raise CompiledBackendUnavailable("self-test failed: AES-CBC SP 800-38A")
+    counter = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+    ctr = bytes.fromhex(
+        "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
+        "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee"
+    )
+    if kernels.aes_ctr(cipher, counter, plain) != ctr:
+        raise CompiledBackendUnavailable("self-test failed: AES-CTR SP 800-38A")
+
 
 def _self_test(kernels: GmpKernels) -> None:
     """Known-answer checks against the pure reference; raises on mismatch."""
@@ -361,6 +463,7 @@ def _self_test(kernels: GmpKernels) -> None:
         pass
     else:
         raise CompiledBackendUnavailable("self-test failed: miller_merged")
+    _self_test_aes(kernels)
 
 
 def probe() -> GmpKernels:

@@ -10,6 +10,10 @@
  * pure-Python reference tier: there is no algorithmic freedom that
  * could change a result, only the speed at which it is produced.
  *
+ * The AES block chains at the end of the file are byte kernels that need
+ * no GMP: the caller passes the round-key words and the T-tables, which
+ * repro.crypto.aes derives from GF(2^8) in one place only.
+ *
  * Return conventions:
  *   0   success
  *  -1   a denominator/value had no inverse (callers raise ZeroDivisionError)
@@ -609,4 +613,150 @@ int spx_miller_merged(const uint8_t *mod_buf, size_t width,
     free(line_a); free(line_b); free(line_has);
     mpz_clears(q, slope, inv, t1, t2, t3, na, nb, NULL);
     return rc;
+}
+
+/* -- AES block chains ------------------------------------------------------ */
+
+static uint32_t load_be32(const uint8_t *p) {
+    return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16) |
+           ((uint32_t)p[2] << 8) | (uint32_t)p[3];
+}
+
+static void store_be32(uint8_t *p, uint32_t v) {
+    p[0] = (uint8_t)(v >> 24);
+    p[1] = (uint8_t)(v >> 16);
+    p[2] = (uint8_t)(v >> 8);
+    p[3] = (uint8_t)v;
+}
+
+/* One block through the T-table rounds of repro.crypto.aes.AES
+ * (encrypt_block / decrypt_block), word for word.  rk holds
+ * 4 * (rounds + 1) round-key words (the equivalent inverse schedule when
+ * decrypting), t the tables T0..T3 back to back (Te or Td), box the
+ * S-box of the final round (SBOX or INV_SBOX).  The lookups are indexed
+ * by secret state, so this is no more cache-timing constant-time than
+ * the pure tier. */
+#define AES_COLUMN(t, a, b, c, d)                                         \
+    ((t)[(a) >> 24] ^ (t)[256 + (((b) >> 16) & 0xFF)]                     \
+     ^ (t)[512 + (((c) >> 8) & 0xFF)] ^ (t)[768 + ((d) & 0xFF)])
+#define AES_LAST(box, a, b, c, d)                                         \
+    (((uint32_t)(box)[(a) >> 24] << 24)                                   \
+     | ((uint32_t)(box)[((b) >> 16) & 0xFF] << 16)                        \
+     | ((uint32_t)(box)[((c) >> 8) & 0xFF] << 8) | (uint32_t)(box)[(d) & 0xFF])
+
+static void aes_encrypt_words(uint32_t s[4], const uint32_t *rk, int rounds,
+                              const uint32_t *t, const uint8_t *box) {
+    uint32_t s0 = s[0] ^ rk[0], s1 = s[1] ^ rk[1], s2 = s[2] ^ rk[2],
+             s3 = s[3] ^ rk[3], u0, u1, u2, u3;
+    int r;
+    for (r = 1; r < rounds; r++) {
+        rk += 4;
+        u0 = AES_COLUMN(t, s0, s1, s2, s3) ^ rk[0];
+        u1 = AES_COLUMN(t, s1, s2, s3, s0) ^ rk[1];
+        u2 = AES_COLUMN(t, s2, s3, s0, s1) ^ rk[2];
+        u3 = AES_COLUMN(t, s3, s0, s1, s2) ^ rk[3];
+        s0 = u0; s1 = u1; s2 = u2; s3 = u3;
+    }
+    rk += 4;
+    s[0] = AES_LAST(box, s0, s1, s2, s3) ^ rk[0];
+    s[1] = AES_LAST(box, s1, s2, s3, s0) ^ rk[1];
+    s[2] = AES_LAST(box, s2, s3, s0, s1) ^ rk[2];
+    s[3] = AES_LAST(box, s3, s0, s1, s2) ^ rk[3];
+}
+
+/* The inverse rounds: InvShiftRows walks the columns the other way. */
+static void aes_decrypt_words(uint32_t s[4], const uint32_t *rk, int rounds,
+                              const uint32_t *t, const uint8_t *box) {
+    uint32_t s0 = s[0] ^ rk[0], s1 = s[1] ^ rk[1], s2 = s[2] ^ rk[2],
+             s3 = s[3] ^ rk[3], u0, u1, u2, u3;
+    int r;
+    for (r = 1; r < rounds; r++) {
+        rk += 4;
+        u0 = AES_COLUMN(t, s0, s3, s2, s1) ^ rk[0];
+        u1 = AES_COLUMN(t, s1, s0, s3, s2) ^ rk[1];
+        u2 = AES_COLUMN(t, s2, s1, s0, s3) ^ rk[2];
+        u3 = AES_COLUMN(t, s3, s2, s1, s0) ^ rk[3];
+        s0 = u0; s1 = u1; s2 = u2; s3 = u3;
+    }
+    rk += 4;
+    s[0] = AES_LAST(box, s0, s3, s2, s1) ^ rk[0];
+    s[1] = AES_LAST(box, s1, s0, s3, s2) ^ rk[1];
+    s[2] = AES_LAST(box, s2, s1, s0, s3) ^ rk[2];
+    s[3] = AES_LAST(box, s3, s2, s1, s0) ^ rk[3];
+}
+
+static int aes_rounds_valid(int rounds) {
+    return rounds == 10 || rounds == 12 || rounds == 14;
+}
+
+/* CBC-encrypt n_blocks whole blocks, chaining from the 16-byte iv. */
+int spx_aes_cbc_encrypt(const uint32_t *rk, int rounds, const uint32_t *te,
+                        const uint8_t *sbox, const uint8_t *iv,
+                        const uint8_t *in, size_t n_blocks, uint8_t *out) {
+    uint32_t s[4];
+    size_t b;
+    int i;
+    if (!aes_rounds_valid(rounds))
+        return -2;
+    for (i = 0; i < 4; i++)
+        s[i] = load_be32(iv + 4 * i);
+    for (b = 0; b < n_blocks; b++, in += 16, out += 16) {
+        for (i = 0; i < 4; i++)
+            s[i] ^= load_be32(in + 4 * i);
+        aes_encrypt_words(s, rk, rounds, te, sbox);
+        for (i = 0; i < 4; i++)
+            store_be32(out + 4 * i, s[i]);
+    }
+    return 0;
+}
+
+/* CBC-decrypt n_blocks whole blocks (padding stays with the caller). */
+int spx_aes_cbc_decrypt(const uint32_t *rk, int rounds, const uint32_t *td,
+                        const uint8_t *inv_sbox, const uint8_t *iv,
+                        const uint8_t *in, size_t n_blocks, uint8_t *out) {
+    uint32_t s[4], previous[4], block;
+    size_t b;
+    int i;
+    if (!aes_rounds_valid(rounds))
+        return -2;
+    for (i = 0; i < 4; i++)
+        previous[i] = load_be32(iv + 4 * i);
+    for (b = 0; b < n_blocks; b++, in += 16, out += 16) {
+        for (i = 0; i < 4; i++)
+            s[i] = load_be32(in + 4 * i);
+        aes_decrypt_words(s, rk, rounds, td, inv_sbox);
+        for (i = 0; i < 4; i++) {
+            block = load_be32(in + 4 * i);
+            store_be32(out + 4 * i, s[i] ^ previous[i]);
+            previous[i] = block;
+        }
+    }
+    return 0;
+}
+
+/* CTR keystream XOR over len bytes (a partial last block is truncated);
+ * the 128-bit big-endian counter starts at nonce and wraps mod 2^128. */
+int spx_aes_ctr(const uint32_t *rk, int rounds, const uint32_t *te,
+                const uint8_t *sbox, const uint8_t *nonce, const uint8_t *in,
+                size_t len, uint8_t *out) {
+    uint8_t counter[16], stream[16];
+    uint32_t s[4];
+    size_t offset, n, j;
+    int i;
+    if (!aes_rounds_valid(rounds))
+        return -2;
+    memcpy(counter, nonce, 16);
+    for (offset = 0; offset < len; offset += 16) {
+        for (i = 0; i < 4; i++)
+            s[i] = load_be32(counter + 4 * i);
+        aes_encrypt_words(s, rk, rounds, te, sbox);
+        for (i = 0; i < 4; i++)
+            store_be32(stream + 4 * i, s[i]);
+        n = len - offset < 16 ? len - offset : 16;
+        for (j = 0; j < n; j++)
+            out[offset + j] = in[offset + j] ^ stream[j];
+        for (i = 15; i >= 0 && ++counter[i] == 0; i--)
+            ; /* counter + 1 mod 2^128 */
+    }
+    return 0;
 }

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import repro.crypto.ec as _ec
+import repro.crypto.modes as _modes
 import repro.crypto.numbers as _numbers
 
 
@@ -46,6 +47,18 @@ class PureKernels:
     @staticmethod
     def ec_mul(q: int, x: int, y: int, k: int) -> "tuple[int, int] | None":
         return _ec.ec_mul_pure(q, x, y, k)
+
+    @staticmethod
+    def aes_cbc_encrypt(cipher, iv: bytes, data: bytes) -> bytes:
+        return _modes._cbc_encrypt_pure(cipher, iv, data)
+
+    @staticmethod
+    def aes_cbc_decrypt(cipher, iv: bytes, data: bytes) -> bytes:
+        return _modes._cbc_decrypt_pure(cipher, iv, data)
+
+    @staticmethod
+    def aes_ctr(cipher, nonce: bytes, data: bytes) -> bytes:
+        return _modes._ctr_pure(cipher, nonce, data)
 
     @staticmethod
     def fq2_pow(q: int, a: int, b: int, exponent: int) -> tuple[int, int]:

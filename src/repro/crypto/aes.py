@@ -2,18 +2,25 @@
 
 The S-box and its inverse are *computed* from the AES finite-field
 definition (multiplicative inverse in GF(2^8) followed by an affine map)
-rather than pasted as magic tables, and encryption/decryption use
-precomputed T-tables for speed — the same trick native implementations use,
-which keeps pure-Python AES fast enough to encrypt the paper's payloads
-(100-character messages up to multi-kilobyte pictures) in microseconds to
-milliseconds.
+rather than pasted as magic tables, and the round transforms use
+precomputed T-tables, the same trick native implementations use. This
+module is the one definition of the key schedule (:meth:`AES._expand_key`,
+:meth:`AES._invert_round_keys`) and of the tables.
 
-Only the raw block transform lives here; chaining modes and padding are in
-:mod:`repro.crypto.modes`.
+:meth:`AES.encrypt_block` / :meth:`AES.decrypt_block` are the reference
+tier: fine for single blocks, but ~1.5 ms per KiB in the interpreter.
+Bulk data goes through the chaining modes in :mod:`repro.crypto.modes`,
+which on the compiled tier hand the whole block chain to the C kernel
+(``spx_aes_*`` in ``accel/_kernel.c``), passing it this module's round
+keys and tables.
+
+T-table AES indexes memory with secret state bytes, so neither tier is
+constant-time against cache-timing observers on the same machine.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 __all__ = ["AES", "SBOX", "INV_SBOX"]
@@ -115,7 +122,6 @@ class AES:
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
-        self._inv_round_keys = self._invert_round_keys()
 
     # -- key schedule ----------------------------------------------------------
 
@@ -143,6 +149,11 @@ class AES:
                 )
             words.append(words[i - nk] ^ temp)
         return words
+
+    @functools.cached_property
+    def _inv_round_keys(self) -> list[int]:
+        # Only decryption needs the inverse schedule: derive it on first use.
+        return self._invert_round_keys()
 
     def _invert_round_keys(self) -> list[int]:
         """Equivalent-inverse-cipher round keys (InvMixColumns applied)."""

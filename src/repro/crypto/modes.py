@@ -4,6 +4,15 @@ CBC with PKCS#7 padding is what GibberishAES (the paper's Implementation 1
 symmetric cryptosystem) uses; CTR is provided for streaming payloads, and
 an encrypt-then-MAC authenticated wrapper gives the integrity property the
 paper's security analysis achieves with signatures.
+
+The public functions own the contract: IV and nonce checks, length
+checks and PKCS#7 pad/unpad always run here, in Python. Only the block
+chain is tiered. On the compiled tier :mod:`repro.crypto.accel` installs
+the kernel table as ``_KERNELS`` and its ``aes_cbc_encrypt`` /
+``aes_cbc_decrypt`` / ``aes_ctr`` run the chain in C; on the pure tier
+the ``_*_pure`` loops below run it one :class:`~repro.crypto.aes.AES`
+block at a time. Both produce the same bytes. Neither is constant-time
+against cache timing (see :mod:`repro.crypto.aes`).
 """
 
 from __future__ import annotations
@@ -24,6 +33,10 @@ __all__ = [
     "PaddingError",
     "IntegrityError",
 ]
+
+# Installed by repro.crypto.accel: the kernel table whose aes_* block
+# chains replace the _*_pure loops below, or None on the pure tier.
+_KERNELS = None
 
 
 class PaddingError(ValueError):
@@ -59,8 +72,37 @@ def cbc_encrypt(key: bytes, plaintext: bytes, iv: bytes | None = None) -> bytes:
         iv = secrets.token_bytes(16)
     if len(iv) != 16:
         raise ValueError("IV must be 16 bytes")
-    padded = pkcs7_pad(plaintext)
-    out = bytearray(iv)
+    chain = _KERNELS.aes_cbc_encrypt if _KERNELS is not None else _cbc_encrypt_pure
+    return iv + chain(cipher, iv, pkcs7_pad(plaintext))
+
+
+def cbc_decrypt(key: bytes, data: bytes) -> bytes:
+    """Inverse of :func:`cbc_encrypt` (expects ``iv || ciphertext``)."""
+    if len(data) < 32 or len(data) % 16 != 0:
+        raise ValueError("CBC ciphertext length %d is invalid" % len(data))
+    cipher = AES(key)
+    chain = _KERNELS.aes_cbc_decrypt if _KERNELS is not None else _cbc_decrypt_pure
+    return pkcs7_unpad(chain(cipher, data[:16], data[16:]))
+
+
+def ctr_transform(key: bytes, data: bytes, nonce: bytes) -> bytes:
+    """AES-CTR keystream XOR (its own inverse)."""
+    if len(nonce) != 16:
+        raise ValueError("CTR nonce must be 16 bytes")
+    cipher = AES(key)
+    chain = _KERNELS.aes_ctr if _KERNELS is not None else _ctr_pure
+    return chain(cipher, nonce, data)
+
+
+# -- the block chains on the pure tier -------------------------------------------
+#
+# Each takes the expanded cipher, the 16-byte IV (or initial counter) and
+# the data, and returns the transformed data: whole blocks for CBC, any
+# length for CTR. The compiled kernels mirror these signatures exactly.
+
+
+def _cbc_encrypt_pure(cipher: AES, iv: bytes, padded: bytes) -> bytes:
+    out = bytearray()
     previous = iv
     for offset in range(0, len(padded), 16):
         block = bytes(a ^ b for a, b in zip(padded[offset : offset + 16], previous))
@@ -69,12 +111,7 @@ def cbc_encrypt(key: bytes, plaintext: bytes, iv: bytes | None = None) -> bytes:
     return bytes(out)
 
 
-def cbc_decrypt(key: bytes, data: bytes) -> bytes:
-    """Inverse of :func:`cbc_encrypt` (expects ``iv || ciphertext``)."""
-    if len(data) < 32 or len(data) % 16 != 0:
-        raise ValueError("CBC ciphertext length %d is invalid" % len(data))
-    cipher = AES(key)
-    iv, ciphertext = data[:16], data[16:]
+def _cbc_decrypt_pure(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
     out = bytearray()
     previous = iv
     for offset in range(0, len(ciphertext), 16):
@@ -82,14 +119,10 @@ def cbc_decrypt(key: bytes, data: bytes) -> bytes:
         decrypted = cipher.decrypt_block(block)
         out += bytes(a ^ b for a, b in zip(decrypted, previous))
         previous = block
-    return pkcs7_unpad(bytes(out))
+    return bytes(out)
 
 
-def ctr_transform(key: bytes, data: bytes, nonce: bytes) -> bytes:
-    """AES-CTR keystream XOR (its own inverse)."""
-    if len(nonce) != 16:
-        raise ValueError("CTR nonce must be 16 bytes")
-    cipher = AES(key)
+def _ctr_pure(cipher: AES, nonce: bytes, data: bytes) -> bytes:
     counter = int.from_bytes(nonce, "big")
     out = bytearray()
     for offset in range(0, len(data), 16):

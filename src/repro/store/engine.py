@@ -23,10 +23,17 @@ bytes dropped. Counters surface through ``repro.obs`` as
 ``store.compactions`` / ``store.bytes_reclaimed`` (counted here) and
 ``store.segments`` / ``store.live_bytes`` / ``store.dead_bytes``
 (gauges the cluster publishes).
+
+A served node dispatches on a thread pool, so every public data-path,
+accounting and maintenance method holds one per-store re-entrant lock:
+a reader never sees the tail, index or inflate cache halfway through a
+writer's append, seal or compaction.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import OrderedDict
 
 from repro.obs.runtime import count
@@ -60,6 +67,17 @@ DEFAULT_SEGMENT_TARGET = 32 * 1024
 DEFAULT_CACHE_SEGMENTS = 8
 
 
+def _serialized(method):
+    """Run ``method`` under the store's lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
 class SegmentBlobStore(BlobStore):
     """Append-only segments + in-memory index, per the module story."""
 
@@ -79,6 +97,7 @@ class SegmentBlobStore(BlobStore):
         self.compactions = 0
         self.bytes_reclaimed = 0
         self._next_segment_id = 0
+        self._lock = threading.RLock()
         self._blank()
 
     def _blank(self) -> None:
@@ -108,6 +127,7 @@ class SegmentBlobStore(BlobStore):
 
     # -- the data path -----------------------------------------------------------
 
+    @_serialized
     def put(self, key: str, blob: VersionedBlob) -> None:
         self._require_open()
         flags = FLAG_TOMBSTONE if blob.data is None else 0
@@ -117,6 +137,7 @@ class SegmentBlobStore(BlobStore):
         count("store.put.records")
         self._maybe_seal()
 
+    @_serialized
     def get(self, key: str) -> VersionedBlob | None:
         self._require_open()
         location = self._index.get(key)
@@ -134,6 +155,7 @@ class SegmentBlobStore(BlobStore):
             )
         return VersionedBlob(entry.version, body)
 
+    @_serialized
     def discard(self, key: str) -> None:
         self._require_open()
         if key not in self._index:
@@ -148,9 +170,10 @@ class SegmentBlobStore(BlobStore):
         self._bury(self._tail.segment_id, entry.stored_length)
         self._maybe_seal()
 
+    @_serialized
     def keys(self):
         self._require_open()
-        return self._index.keys()
+        return list(self._index)
 
     # -- internals ---------------------------------------------------------------
 
@@ -177,6 +200,7 @@ class SegmentBlobStore(BlobStore):
         self._tail = SegmentWriter(self._alloc_segment_id())
         count("store.segments.sealed")
 
+    @_serialized
     def flush(self) -> None:
         """Seal the active tail now (if it holds records), regardless of
         size — benchmarks and shutdown paths use this so *every* byte is
@@ -203,23 +227,28 @@ class SegmentBlobStore(BlobStore):
     def _dead_total(self) -> int:
         return sum(self._dead.values())
 
+    @_serialized
     def object_count(self) -> int:
         self._require_open()
         return sum(1 for _, e in self._index.values() if not e.tombstone)
 
+    @_serialized
     def payload_bytes(self) -> int:
         self._require_open()
         return sum(
             e.payload_length for _, e in self._index.values() if not e.tombstone
         )
 
+    @_serialized
     def segment_count(self) -> int:
         return len(self._sealed) + (1 if self._tail.entries else 0)
 
+    @_serialized
     def physical_bytes(self) -> int:
         """On-media bytes: sealed (deflated + index) plus the raw tail."""
         return sum(self._physical.values()) + self._tail.raw_length
 
+    @_serialized
     def stats(self) -> StoreStats:
         self._require_open()
         dead = self._dead_total()
@@ -238,6 +267,7 @@ class SegmentBlobStore(BlobStore):
 
     # -- maintenance -------------------------------------------------------------
 
+    @_serialized
     def compact(
         self, purge: "frozenset[str] | set[str]" = frozenset(), min_garbage: float = 0.0
     ) -> CompactionResult:
@@ -304,6 +334,7 @@ class SegmentBlobStore(BlobStore):
 
     # -- durability --------------------------------------------------------------
 
+    @_serialized
     def crash_volatile(self) -> None:
         """Power loss: only the encoded media survives. The round trip
         through ``encode()`` is deliberate — recovery must work from the
@@ -315,6 +346,7 @@ class SegmentBlobStore(BlobStore):
         self._blank()
         self._crashed_media = media
 
+    @_serialized
     def reopen(self) -> int:
         """Rebuild the index by scanning surviving media; idempotent."""
         if self._crashed_media is None:
@@ -350,6 +382,7 @@ class SegmentBlobStore(BlobStore):
                     self._supersede(entry.key)
                     self._index[entry.key] = (segment_id, entry)
 
+    @_serialized
     def snapshot(self) -> bytes:
         """Image the durable media (works crashed or open)."""
         if self._crashed_media is not None:
@@ -368,6 +401,7 @@ class SegmentBlobStore(BlobStore):
         out += tail_raw
         return bytes(out)
 
+    @_serialized
     def restore(self, image: bytes) -> int:
         """Replace contents from a :meth:`snapshot` image."""
         if image[:4] != SNAPSHOT_MAGIC:

@@ -6,7 +6,9 @@ inputs and demands bit-for-bit agreement per primitive; tier-selection
 tests cover ``REPRO_CRYPTO_TIER`` semantics, runtime ``set_tier``, and
 backend installation into the consumer modules.  The ``batch_modinv``
 error contract (zero and non-coprime inputs, first-offender
-attribution, identical messages) is asserted in both tiers.
+attribution, identical messages) is asserted in both tiers, and so are
+the AES block chains: FIPS-197 and SP 800-38A known answers, seeded
+buffers up to 64 KiB, the CTR counter wrap and the modes' error cases.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from repro.crypto import accel
 from repro.crypto import ec as ec_mod
 from repro.crypto import field as field_mod
 from repro.crypto import fq2 as fq2_mod
+from repro.crypto import modes as modes_mod
 from repro.crypto import numbers
 from repro.crypto import pairing as pairing_mod
 from repro.crypto.accel import CompiledBackendUnavailable, PureKernels
+from repro.crypto.aes import AES
 from repro.crypto.fq2 import Fq2
 from repro.crypto.params import SMALL, TOY
 
@@ -231,6 +235,155 @@ class TestEcMulKernel:
             assert len(results) == 1, k
 
 
+# SP 800-38A Appendix F: the same four plaintext blocks under three keys.
+SP800_38A_PLAIN = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"
+)
+SP800_38A_KEYS = {
+    128: "2b7e151628aed2a6abf7158809cf4f3c",
+    192: "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+    256: "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+}
+SP800_38A_CBC = {  # F.2.1, F.2.3, F.2.5; IV 000102...0f
+    128: "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
+         "73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
+    192: "4f021db243bc633d7178183a9fa071e8b4d9ada9ad7dedf4e5e738763f69145a"
+         "571b242012fb7ae07fa9baac3df102e008b0e27988598881d920a9e64f5615cd",
+    256: "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d"
+         "39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b",
+}
+SP800_38A_CTR = {  # F.5.1, F.5.3, F.5.5; initial counter f0f1...ff
+    128: "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
+         "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee",
+    192: "1abc932417521ca24f2b0459fe7e6e0b090339ec0aa6faefd5ccc2c6f4ce8e94"
+         "1e36b26bd1ebc670d1bd1d665620abf74f78a7f6d29809585a97daec58c6b050",
+    256: "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+         "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6",
+}
+
+
+class TestAesKernels:
+    """The CBC and CTR block chains on both backends, one harness."""
+
+    @pytest.mark.parametrize(
+        "key_hex,expected",
+        [
+            ("000102030405060708090a0b0c0d0e0f",
+             "69c4e0d86a7b0430d8cdb78070b4c55a"),
+            ("000102030405060708090a0b0c0d0e0f1011121314151617",
+             "dda97ca4864cdfe06eaf70a0ec0d7191"),
+            ("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+             "8ea2b7ca516745bfeafc49904b496089"),
+        ],
+        ids=["aes128", "aes192", "aes256"],
+    )
+    def test_fips197_appendix_c(self, backend, key_hex, expected):
+        """One CBC block under a zero IV is the bare block transform."""
+        cipher = AES(bytes.fromhex(key_hex))
+        plain = bytes.fromhex("00112233445566778899aabbccddeeff")
+        block = bytes.fromhex(expected)
+        assert backend.aes_cbc_encrypt(cipher, bytes(16), plain) == block
+        assert backend.aes_cbc_decrypt(cipher, bytes(16), block) == plain
+
+    @pytest.mark.parametrize("bits", [128, 192, 256])
+    def test_sp800_38a_cbc(self, backend, bits):
+        cipher = AES(bytes.fromhex(SP800_38A_KEYS[bits]))
+        iv = bytes(range(16))
+        expected = bytes.fromhex(SP800_38A_CBC[bits])
+        assert backend.aes_cbc_encrypt(cipher, iv, SP800_38A_PLAIN) == expected
+        assert backend.aes_cbc_decrypt(cipher, iv, expected) == SP800_38A_PLAIN
+
+    @pytest.mark.parametrize("bits", [128, 192, 256])
+    def test_sp800_38a_ctr(self, backend, bits):
+        cipher = AES(bytes.fromhex(SP800_38A_KEYS[bits]))
+        counter = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
+        expected = bytes.fromhex(SP800_38A_CTR[bits])
+        assert backend.aes_ctr(cipher, counter, SP800_38A_PLAIN) == expected
+        assert backend.aes_ctr(cipher, counter, expected) == SP800_38A_PLAIN
+        # A partial last block uses a prefix of its keystream block.
+        assert backend.aes_ctr(cipher, counter, SP800_38A_PLAIN[:37]) == expected[:37]
+
+    @pytest.mark.parametrize("size", [16, 48, 1024, 4112, 65536])
+    def test_cbc_backends_agree_on_seeded_buffers(self, size):
+        rng = random.Random(size)
+        cipher = AES(rng.randbytes(rng.choice([16, 24, 32])))
+        iv, data = rng.randbytes(16), rng.randbytes(size)
+        encrypted = {b.aes_cbc_encrypt(cipher, iv, data) for b in BACKENDS}
+        decrypted = {b.aes_cbc_decrypt(cipher, iv, data) for b in BACKENDS}
+        assert len(encrypted) == 1 and len(decrypted) == 1
+        (ciphertext,) = encrypted
+        assert {b.aes_cbc_decrypt(cipher, iv, ciphertext) for b in BACKENDS} == {data}
+
+    @pytest.mark.parametrize("size", [0, 1, 16, 17, 1000, 65535])
+    def test_ctr_backends_agree_on_seeded_buffers(self, size):
+        rng = random.Random(size + 1)
+        cipher = AES(rng.randbytes(rng.choice([16, 24, 32])))
+        nonce, data = rng.randbytes(16), rng.randbytes(size)
+        streams = {b.aes_ctr(cipher, nonce, data) for b in BACKENDS}
+        assert len(streams) == 1
+        assert len(streams.pop()) == size
+
+    @pytest.mark.parametrize(
+        "nonce",
+        [b"\xff" * 16, bytes(12) + b"\xff" * 4],
+        ids=["wrap-2^128", "carry-32"],
+    )
+    def test_ctr_counter_wraps_and_carries(self, backend, nonce):
+        cipher = AES(bytes(range(16)))
+        start = int.from_bytes(nonce, "big")
+        expected = b"".join(
+            cipher.encrypt_block(((start + i) % (1 << 128)).to_bytes(16, "big"))
+            for i in range(3)
+        )
+        assert backend.aes_ctr(cipher, nonce, bytes(48)) == expected
+
+    def test_bytes_like_inputs(self, backend):
+        cipher, iv, data = AES(bytes(24)), bytes(range(16)), SP800_38A_PLAIN
+        for wrap in (bytearray, memoryview):
+            assert backend.aes_cbc_encrypt(
+                cipher, wrap(iv), wrap(data)
+            ) == backend.aes_cbc_encrypt(cipher, iv, data)
+            assert backend.aes_cbc_decrypt(
+                cipher, wrap(iv), wrap(data)
+            ) == backend.aes_cbc_decrypt(cipher, iv, data)
+            assert backend.aes_ctr(cipher, wrap(iv), wrap(data[:21])) == backend.aes_ctr(
+                cipher, iv, data[:21]
+            )
+
+    def test_misaligned_cbc_input_rejected(self, backend):
+        cipher = AES(bytes(16))
+        with pytest.raises(ValueError):
+            backend.aes_cbc_encrypt(cipher, bytes(16), bytes(17))
+        with pytest.raises(ValueError):
+            backend.aes_cbc_decrypt(cipher, bytes(16), bytes(31))
+
+    @pytest.mark.parametrize("tier", ["pure"] + (["compiled"] if COMPILED else []))
+    def test_mode_error_contract(self, tier):
+        """The checks that stay in Python raise the same errors per tier."""
+        accel.set_tier(tier)
+        key = bytes(range(32))
+        with pytest.raises(ValueError, match="IV must be 16 bytes"):
+            modes_mod.cbc_encrypt(key, b"m", iv=b"short")
+        with pytest.raises(ValueError, match="length 24 is invalid"):
+            modes_mod.cbc_decrypt(key, bytes(24))
+        with pytest.raises(ValueError, match="nonce must be 16 bytes"):
+            modes_mod.ctr_transform(key, b"x", b"short")
+        with pytest.raises(ValueError, match="AES key must be"):
+            modes_mod.cbc_encrypt(b"short", b"m")
+        # A zero pad byte after decryption: craft it by encrypting the
+        # block that decrypts to sixteen zero bytes.
+        cipher, iv = AES(key), bytes(16)
+        forged = iv + modes_mod._cbc_encrypt_pure(cipher, iv, bytes(16))
+        with pytest.raises(modes_mod.PaddingError, match="invalid padding byte 0"):
+            modes_mod.cbc_decrypt(key, forged)
+        forged = iv + modes_mod._cbc_encrypt_pure(
+            cipher, iv, bytes(13) + b"\x01\x02\x03"
+        )
+        with pytest.raises(modes_mod.PaddingError, match="inconsistent padding"):
+            modes_mod.cbc_decrypt(key, forged)
+
+
 class TestBatchModinvErrorPath:
     """Satellite fix: documented, attributed errors in both tiers."""
 
@@ -300,6 +453,7 @@ class TestTierSelection:
         assert numbers._BACKEND is None
         assert fq2_mod._BACKEND is None
         assert ec_mod._KERNELS is None
+        assert modes_mod._KERNELS is None
         assert pairing_mod._KERNELS is None
         assert field_mod._MULMOD is None
         state = accel.active()
@@ -314,6 +468,7 @@ class TestTierSelection:
         assert numbers._BACKEND is COMPILED
         assert fq2_mod._BACKEND is COMPILED
         assert ec_mod._KERNELS is COMPILED
+        assert modes_mod._KERNELS is COMPILED
         assert pairing_mod._KERNELS is COMPILED
 
     @needs_compiled

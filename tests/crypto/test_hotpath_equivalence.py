@@ -346,6 +346,30 @@ class TestCrossTier:
         )
         assert pure == compiled == message
 
+    def test_symmetric_layer_agrees(self, monkeypatch):
+        """seal/unseal, GibberishAES and CTR: byte-identical output per
+        tier once the random IV and salt are fixed."""
+        from repro.crypto import gibberish, modes
+
+        monkeypatch.setattr(modes.secrets, "token_bytes", lambda n: bytes(range(n)))
+        rng = random.Random(69)
+        key = rng.randbytes(32)
+        payloads = [b"", b"x", rng.randbytes(1000), rng.randbytes(32768)]
+
+        def run():
+            sealed = [modes.seal(key, p, b"post-7") for p in payloads]
+            containers = [
+                gibberish.encrypt(p, b"passphrase", salt=b"saltsalt") for p in payloads
+            ]
+            opened = [modes.unseal(key, s, b"post-7") for s in sealed]
+            opened += [gibberish.decrypt(c, b"passphrase") for c in containers]
+            stream = modes.ctr_transform(key, payloads[2], b"\xff" * 15 + b"\xfe")
+            return sealed, containers, opened, stream
+
+        pure, compiled = self._both_tiers(run)
+        assert pure == compiled
+        assert pure[2] == payloads * 2
+
     def test_op_counts_tier_invariant(self):
         points = _seeded_points(70, 8)
         pairs = list(zip(points[:4], points[4:]))
