@@ -33,7 +33,6 @@ from repro.crypto.hash_to_group import hash_to_g0
 from repro.crypto.kdf import hkdf
 from repro.crypto.modes import seal, unseal
 from repro.crypto.pairing import Pairing
-from repro.crypto.parallel import PairingPool
 from repro.crypto.polynomial import Polynomial, lagrange_coefficients_at_zero
 from repro.obs.profile import profiled
 
@@ -134,18 +133,10 @@ class HybridCiphertext:
 class CPABE:
     """A CP-ABE instance over fixed pairing parameters."""
 
-    def __init__(
-        self,
-        params: CurveParams,
-        pairing_pool: "PairingPool | None" = None,
-    ):
+    def __init__(self, params: CurveParams):
         self.params = params
         self.pairing = Pairing(params)
         self.zr = PrimeField(params.r, check_prime=False)
-        # Optional repro.crypto.parallel.PairingPool: fused decryption
-        # fans its per-leaf Miller states (and decrypt_elements its
-        # independent ciphertexts) across worker processes.
-        self.pairing_pool = pairing_pool
         # hash_to_g0 is deterministic and dominated by cofactor clearing;
         # memoize attribute points (recur across Encrypt/KeyGen calls).
         self._attr_point_cache: dict[str, Point] = {}
@@ -237,9 +228,9 @@ class CPABE:
         order = self.params.r
         r_blind = secrets.randbelow(order)
         beta_inv = pow(mk.beta, -1, order)
-        d = (mk.g_alpha + pk.g * r_blind) * beta_inv
-        components: dict[str, tuple[Point, Point]] = {}
         g_r_blind = pk.g * r_blind
+        d = (mk.g_alpha + g_r_blind) * beta_inv
+        components: dict[str, tuple[Point, Point]] = {}
         for attribute in set(attributes):
             r_j = secrets.randbelow(order)
             d_j = g_r_blind + self._attr_point(attribute) * r_j
@@ -303,37 +294,8 @@ class CPABE:
             e_c_d = self.pairing.pair(ct.c, sk.d)
             return ct.c_tilde * (e_c_d * a.inverse()).inverse()
         pairs = self._fused_pairs(sk, ct, chosen)
-        # M = C~ * A / e(C, D), all under one final exponentiation (per
-        # chunk, when a pairing pool splits the product across workers).
-        if self.pairing_pool is not None:
-            return ct.c_tilde * self.pairing_pool.pair_product(self.pairing, pairs)
+        # M = C~ * A / e(C, D), all under one final exponentiation.
         return ct.c_tilde * self.pairing.pair_product(pairs)
-
-    def decrypt_elements(
-        self,
-        pk: PublicKey,
-        sk: SecretKey,
-        cts: "list[Ciphertext]",
-    ) -> "list[Fq2]":
-        """Decrypt many ciphertexts under one key.
-
-        Each ciphertext is an independent fused multi-pairing, so with a
-        :class:`~repro.crypto.parallel.PairingPool` attached the whole
-        batch fans out one job per ciphertext; without one it is a plain
-        loop over :meth:`decrypt_element`.
-        """
-        if self.pairing_pool is None or len(cts) <= 1:
-            return [self.decrypt_element(pk, sk, ct) for ct in cts]
-        jobs = []
-        for ct in cts:
-            chosen = ct.tree.minimal_satisfying_leaves(sk.attributes)
-            if chosen is None:
-                raise PolicyNotSatisfiedError(
-                    "key attributes do not satisfy the ciphertext policy"
-                )
-            jobs.append(self._fused_pairs(sk, ct, chosen))
-        products = self.pairing_pool.pair_products(self.pairing, jobs)
-        return [ct.c_tilde * value for ct, value in zip(cts, products)]
 
     def _fused_pairs(
         self, sk: SecretKey, ct: Ciphertext, chosen: "frozenset[int] | set[int]"

@@ -46,7 +46,6 @@ from repro.core.errors import (
 from repro.core.throttle import ThrottledPuzzleServiceC1, ThrottledPuzzleServiceC2
 from repro.crypto.bls import BlsScheme
 from repro.crypto.ec import CurveParams
-from repro.crypto.parallel import PairingPool
 from repro.obs import Observability
 from repro.obs.events import Label
 from repro.obs.runtime import emit_event, maybe_span, use as use_observer
@@ -134,12 +133,14 @@ _POST_BYTES = 256  # the hyperlink post placed on the sharer's profile
 class _PrefetchedStorage:
     """A storage view that answers known URLs from memory.
 
-    The batched access flows fetch the encrypted object over the DH wire
-    plane (one :class:`~repro.proto.messages.BatchRequest` round trip)
-    *before* handing control to the receiver; this view lets the
-    receiver's own ``storage.get`` consume that already-transferred blob
-    instead of paying a second fetch. Everything else forwards to the
-    real storage.
+    The access flows fetch the encrypted object *before* handing control
+    to the receiver, so the meter is sized from bytes in hand: the
+    serial flows with one storage read, the batched flows over the DH
+    wire plane (one :class:`~repro.proto.messages.BatchRequest` round
+    trip). This view lets the receiver's own ``storage.get`` consume
+    that already-transferred blob instead of paying a second fetch
+    (over a cluster, a second quorum read). Everything else forwards to
+    the real storage.
     """
 
     def __init__(self, storage):
@@ -584,7 +585,8 @@ class SocialPuzzleAppC1(_PuzzleAppBase):
             _enter_journey(self.obs, scope, "c1.access", puzzle_id=puzzle_id)
             meter = _meter(device, link)
             overhead = self.transport.open_session(meter) if self.transport else 0
-            receiver = ReceiverC1(viewer.name, self.storage, bls=self.bls)
+            prefetched = _PrefetchedStorage(self.storage)
+            receiver = ReceiverC1(viewer.name, prefetched, bls=self.bls)
 
             displayed: DisplayedPuzzle = self.client.display_puzzle_c1(
                 puzzle_id, rng=rng
@@ -604,8 +606,11 @@ class SocialPuzzleAppC1(_PuzzleAppBase):
                 "receive released shares + URL", release.byte_size() + overhead
             )
 
-            encrypted_size = len(self.storage.get(release.url))
-            meter.charge_download("download encrypted object", encrypted_size + overhead)
+            encrypted = self.storage.get(release.url)
+            prefetched.preload(release.url, encrypted)
+            meter.charge_download(
+                "download encrypted object", len(encrypted) + overhead
+            )
             with maybe_span("receiver.recover"), meter.measure(
                 "receiver crypto (unblind, interpolate, AES)"
             ):
@@ -710,14 +715,10 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
         engine: PuzzleProtocolEngine | None = None,
         bus: MessageBus | None = None,
         dh_bus: MessageBus | None = None,
-        pairing_pool: PairingPool | None = None,
     ):
         self.params = params
         self.digestmod = digestmod
         self.legacy_unperturbed_ciphertext = legacy_unperturbed_ciphertext
-        # Optional process pool: receiver-side CP-ABE decrypts fan their
-        # fused multi-pairing across workers (repro.crypto.parallel).
-        self.pairing_pool = pairing_pool
         if throttle_max_failures is not None:
             service: PuzzleServiceC2 = ThrottledPuzzleServiceC2(
                 max_failures=throttle_max_failures,
@@ -828,12 +829,9 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
             _enter_journey(self.obs, scope, "c2.access", puzzle_id=puzzle_id)
             meter = _meter(device, link)
             overhead = self.transport.open_session(meter) if self.transport else 0
+            prefetched = _PrefetchedStorage(self.storage)
             receiver = ReceiverC2(
-                viewer.name,
-                self.storage,
-                self.params,
-                digestmod=self.digestmod,
-                pairing_pool=self.pairing_pool,
+                viewer.name, prefetched, self.params, digestmod=self.digestmod
             )
 
             displayed: DisplayedPuzzleC2 = self.client.display_puzzle_c2(puzzle_id)
@@ -850,10 +848,11 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
 
             grant = self.client.submit_answers_c2(answers, viewer.name)
 
-            ct_size = len(self.storage.get(grant.url))
+            ct_bytes = self.storage.get(grant.url)
+            prefetched.preload(grant.url, ct_bytes)
             meter.charge_download(
                 "download message.txt.cpabe",
-                self._file_size("message.txt.cpabe", ct_size) + overhead,
+                self._file_size("message.txt.cpabe", len(ct_bytes)) + overhead,
             )
             meter.charge_download(
                 "download master_key",
@@ -904,11 +903,7 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
             overhead = self.transport.open_session(meter) if self.transport else 0
             prefetched = _PrefetchedStorage(self.storage)
             receiver = ReceiverC2(
-                viewer.name,
-                prefetched,
-                self.params,
-                digestmod=self.digestmod,
-                pairing_pool=self.pairing_pool,
+                viewer.name, prefetched, self.params, digestmod=self.digestmod
             )
 
             displayed: DisplayedPuzzleC2 = self.client.display_puzzle_c2(puzzle_id)

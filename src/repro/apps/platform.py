@@ -28,7 +28,6 @@ from repro.apps.clients import (
 from repro.core.context import Context
 from repro.crypto.bls import BlsScheme
 from repro.crypto.ec import CurveParams
-from repro.crypto.parallel import PairingPool
 from repro.crypto.params import SMALL
 from repro.obs import Observability
 from repro.obs.runtime import use as use_observer
@@ -86,17 +85,8 @@ class SocialPuzzlePlatform:
         cluster_nodes: int | None = None,
         degraded_reads: bool = False,
         storage_engine: str = "dict",
-        pairing_workers: int | None = None,
     ):
         self.obs = observability
-        # pairing_workers > 1 fans receiver-side CP-ABE multi-pairings
-        # across a process pool; 0/1 pins everything serial; None means
-        # no pool at all (identical to the pre-pool behaviour).
-        self.pairing_pool = (
-            PairingPool(workers=pairing_workers)
-            if pairing_workers is not None
-            else None
-        )
         self.provider = provider if provider is not None else ServiceProvider()
         if cluster_nodes is not None and storage is not None:
             raise ValueError("pass either storage or cluster_nodes, not both")
@@ -175,7 +165,6 @@ class SocialPuzzlePlatform:
             engine=self.engine,
             bus=self.bus,
             dh_bus=self.dh_bus,
-            pairing_pool=self.pairing_pool,
         )
 
     # -- membership ---------------------------------------------------------------

@@ -155,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the crypto acceleration tier "
         "(default: REPRO_CRYPTO_TIER, else probe compiled, fall back pure)",
     )
-    serve.add_argument(
-        "--pairing-workers", type=int, default=None, metavar="N",
-        help="fan receiver-side multi-pairings across N worker processes "
-        "(0/1 = serial; default: no pool)",
-    )
 
     for name, help_text, default_journeys in (
         ("trace", "run seeded journeys and print their span trees", 1),
@@ -191,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--crypto-tier", default=None, choices=("auto", "pure", "compiled"),
             help="force the crypto acceleration tier "
             "(default: REPRO_CRYPTO_TIER, else probe compiled, fall back pure)",
-        )
-        observed.add_argument(
-            "--pairing-workers", type=int, default=None, metavar="N",
-            help="fan receiver-side multi-pairings across N worker processes "
-            "(0/1 = serial; default: no pool)",
         )
 
     return parser
@@ -536,33 +526,26 @@ def format_self_healing(registry) -> str:
     )
 
 
-def format_crypto_tier(tier, pool=None) -> str:
-    """One-line summary of the crypto acceleration tier and pairing pool.
+def format_crypto_tier(tier) -> str:
+    """One-line summary of the crypto acceleration tier.
 
-    Takes :func:`repro.crypto.accel.describe` output (and optionally
-    :meth:`~repro.crypto.parallel.PairingPool.describe` when a pool is
-    attached); shown by ``repro stats`` and the ``repro serve`` banner.
+    Takes :func:`repro.crypto.accel.describe` output; shown by
+    ``repro stats`` and the ``repro serve`` banner.
 
     >>> format_crypto_tier(
     ...     {"tier": "compiled", "requested": "auto",
     ...      "library": "/tmp/spxaccel.so", "reason": None,
-    ...      "field_mulmod": "native"},
-    ...     {"workers": 4, "mode": "parallel"})
-    'crypto: tier=compiled requested=auto field-mul=native | pool=parallel workers=4'
+    ...      "field_mulmod": "native"})
+    'crypto: tier=compiled requested=auto field-mul=native'
     >>> format_crypto_tier(
     ...     {"tier": "pure", "requested": "pure", "library": None,
     ...      "reason": "pure tier requested", "field_mulmod": "native"})
-    'crypto: tier=pure requested=pure field-mul=native | pool=off'
+    'crypto: tier=pure requested=pure field-mul=native'
     """
-    if pool is None:
-        pool_part = "pool=off"
-    else:
-        pool_part = "pool=%s workers=%d" % (pool["mode"], pool["workers"])
-    return "crypto: tier=%s requested=%s field-mul=%s | %s" % (
+    return "crypto: tier=%s requested=%s field-mul=%s" % (
         tier["tier"],
         tier["requested"],
         tier["field_mulmod"],
-        pool_part,
     )
 
 
@@ -655,7 +638,6 @@ def _observed_journeys(args):
         params=get_params(args.params),
         retry_policy=retry,
         observability=obs,
-        pairing_workers=getattr(args, "pairing_workers", None),
         **substrates,
     )
     alice = platform.join("alice")
@@ -697,13 +679,11 @@ def _observed_journeys(args):
         with use_observer(obs):
             cluster.run_anti_entropy()
             cluster.run_compaction(min_garbage=0.0)
-    if platform.pairing_pool is not None:
-        platform.pairing_pool.close()  # journeys done; stats survive close
-    return obs, completed, failed, cluster, platform
+    return obs, completed, failed, cluster
 
 
 def _cmd_trace(args) -> int:
-    obs, completed, failed, _, _ = _observed_journeys(args)
+    obs, completed, failed, _ = _observed_journeys(args)
     obs.tracer.assert_quiescent()  # every journey left a *closed* tree
     for root in obs.tracer.finished:
         print(obs.tracer.format_tree(root))
@@ -719,15 +699,10 @@ def _cmd_trace(args) -> int:
 def _cmd_stats(args) -> int:
     from repro.crypto import accel
 
-    obs, completed, failed, cluster, platform = _observed_journeys(args)
+    obs, completed, failed, cluster = _observed_journeys(args)
     print(obs.registry.render())
     print()
-    pool = platform.pairing_pool
-    print(
-        format_crypto_tier(
-            accel.describe(), pool.describe() if pool is not None else None
-        )
-    )
+    print(format_crypto_tier(accel.describe()))
     if cluster is not None:
         print(format_self_healing(obs.registry))
         print(format_storage_engine(cluster.storage_stats()))
@@ -763,11 +738,7 @@ def _cmd_serve(args) -> int:
         )
     if args.crypto_tier:
         accel.set_tier(args.crypto_tier)
-    platform = SocialPuzzlePlatform(
-        params=get_params(args.params),
-        pairing_workers=args.pairing_workers,
-        **substrates,
-    )
+    platform = SocialPuzzlePlatform(params=get_params(args.params), **substrates)
     server = TcpSmartServer(
         platform.engine,
         host=args.host,
@@ -780,13 +751,7 @@ def _cmd_serve(args) -> int:
     # The bound address stays the FIRST line (scripts and the serve-smoke
     # CI job grep for it); the crypto banner follows.
     print(f"listening on {host}:{port}", flush=True)
-    pool = platform.pairing_pool
-    print(
-        format_crypto_tier(
-            accel.describe(), pool.describe() if pool is not None else None
-        ),
-        flush=True,
-    )
+    print(format_crypto_tier(accel.describe()), flush=True)
     try:
         threading.Event().wait()  # serve until interrupted
     except KeyboardInterrupt:

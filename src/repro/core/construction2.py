@@ -55,7 +55,6 @@ from repro.core.errors import (
 )
 from repro.crypto.ec import CurveParams
 from repro.crypto.hashes import new as new_hash
-from repro.crypto.parallel import PairingPool
 from repro.crypto.modes import IntegrityError
 from repro.osn.storage import AuditTrail, StorageHost
 from repro.util.codec import Reader, blob, text, u32
@@ -576,13 +575,12 @@ class ReceiverC2:
         storage: StorageHost,
         params: CurveParams,
         digestmod: str = "sha1",
-        pairing_pool: "PairingPool | None" = None,
     ):
         self.name = name
         self.storage = storage
         self.params = params
         self.digestmod = digestmod
-        self.abe = CPABE(params, pairing_pool=pairing_pool)
+        self.abe = CPABE(params)
 
     def answer_puzzle(
         self, displayed: DisplayedPuzzleC2, knowledge: Context

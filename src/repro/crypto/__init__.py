@@ -22,8 +22,6 @@ Layout:
 * :mod:`repro.crypto.accel` — acceleration-tier selection (compiled GMP
   kernels with the pure-Python path as the always-tested reference,
   ``REPRO_CRYPTO_TIER=pure|compiled|auto``).
-* :mod:`repro.crypto.parallel` — multiprocessing pool for embarrassingly
-  parallel pairing work.
 """
 
 from repro.crypto.ec import CurveParams, Point

@@ -51,6 +51,32 @@ class TestSetup:
         assert abe._attr_point("pa") is point
 
 
+class TestKeyGen:
+    def test_g_r_blind_multiplied_once(self, abe, keys, monkeypatch):
+        """g^r is shared by D and every D_j, so KeyGen computes it once:
+        g^r and D's 1/beta, then H(j)^(r_j) and g^(r_j) per attribute."""
+        from repro.crypto.ec import Point
+
+        pk, mk = keys
+        attributes = {"ka", "kb", "kc"}
+        for attribute in attributes:
+            abe._attr_point(attribute)  # warm: hash_to_g0 multiplies too
+        calls = []
+        original = Point.__mul__
+
+        def counting_mul(self, scalar):
+            calls.append(scalar)
+            return original(self, scalar)
+
+        monkeypatch.setattr(Point, "__mul__", counting_mul)
+        sk = abe.keygen(pk, mk, attributes)
+        monkeypatch.undo()
+        assert len(calls) == 2 + 2 * len(attributes)
+        message = abe._random_gt(pk)
+        ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(2, sorted(attributes)))
+        assert abe.decrypt_element(pk, sk, ct) == message
+
+
 class TestElementRoundTrip:
     def test_simple_threshold(self, abe, keys):
         pk, mk = keys

@@ -9,6 +9,7 @@ from repro.core.context import Context
 from repro.core.errors import AccessDeniedError
 from repro.crypto.params import TOY
 from repro.osn.provider import OsnError
+from repro.osn.storage import StorageHost
 
 
 @pytest.fixture()
@@ -23,6 +24,18 @@ def people(platform):
     carol = platform.join("carol")
     platform.befriend(alice, bob)
     return alice, bob, carol
+
+
+class _CountingStorage(StorageHost):
+    """A DH that counts object reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.gets = 0
+
+    def get(self, url: str) -> bytes:
+        self.gets += 1
+        return super().get(url)
 
 
 class TestSharing:
@@ -92,6 +105,29 @@ class TestSharing:
         alice, _, _ = people
         with pytest.raises(ValueError):
             platform.share(alice, secret_object, party_context, k=2, construction=3)
+
+
+class TestDhReads:
+    @pytest.mark.parametrize("flow", ["solve", "solve_batched"])
+    @pytest.mark.parametrize("construction", [1, 2])
+    def test_one_object_read_per_access(
+        self, party_context, secret_object, construction, flow
+    ):
+        """An access reads the encrypted object from the DH once: the app
+        sizes the meter from the bytes it then hands the receiver."""
+        storage = _CountingStorage()
+        platform = SocialPuzzlePlatform(params=TOY, storage=storage)
+        alice, bob = platform.join("alice"), platform.join("bob")
+        platform.befriend(alice, bob)
+        share = platform.share(
+            alice, secret_object, party_context, k=2, construction=construction
+        )
+        storage.gets = 0
+        result = getattr(platform, flow)(
+            bob, share, party_context, construction=construction
+        )
+        assert result.plaintext == secret_object
+        assert storage.gets == 1
 
 
 class TestSignedPlatform:

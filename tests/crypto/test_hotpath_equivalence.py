@@ -139,6 +139,20 @@ class TestPairProduct:
         with pytest.raises(ValueError):
             PAIRING.pair_product([(p, q), (other, other)])
 
+    @pytest.mark.parametrize("side", ["both", "first", "second"])
+    def test_rejects_lone_foreign_entry(self, side):
+        """A product of one foreign entry is rejected on either side of
+        the pair, even with a zero exponent: the curve check runs before
+        identity entries are dropped."""
+        from repro.crypto.params import SMALL
+
+        (p,) = _seeded_points(25, 1)
+        other = SMALL.random_g0()
+        pair = {"both": (other, other), "first": (other, p), "second": (p, other)}[side]
+        for entry in (pair, pair + (0,)):
+            with pytest.raises(ValueError):
+                PAIRING.pair_product([entry])
+
 
 class TestGtMultiExp:
     @pytest.mark.parametrize("seed,count", [(30, 1), (31, 3), (32, 6)])

@@ -32,9 +32,8 @@ ratio the segment engine's groupcompress pass achieves, and how long
 ``reopen()`` takes to rebuild the index after a power-loss crash.
 
 The ``crypto_tier`` section times every accelerated primitive under the
-pure tier and (when the GMP kernel builds) the compiled tier, plus the
-parallel pairing pool against the serial engine on an 8-member batch —
-the measured shape of the acceleration layer described in
+pure tier and (when the GMP kernel builds) the compiled tier — the
+measured shape of the acceleration layer described in
 ``docs/PERFORMANCE.md``.
 
 ``--compare PREV.json`` turns the tool into a trajectory gate: every
@@ -395,15 +394,9 @@ def bench_crypto_tiers() -> dict:
     Each hot primitive runs on the same seeded inputs under the pure
     tier and, when the GMP kernel probes, the compiled tier; ``speedup``
     is compiled-over-pure (1.0 when only the pure tier is available).
-    The ``parallel`` block fans an 8-member multi-pairing batch through
-    the :class:`~repro.crypto.parallel.PairingPool` at the default
-    worker count and compares against the serial loop — on a single-core
-    box the pool declines to fork and the honest answer is ~1.0x with
-    ``mode: serial``.
     """
     from repro.crypto import accel
     from repro.crypto.accel import CompiledBackendUnavailable
-    from repro.crypto.parallel import PairingPool, default_workers
 
     prior = accel.active().requested
     tiers = ["pure"]
@@ -458,37 +451,6 @@ def bench_crypto_tiers() -> dict:
                 if "compiled_ms" in row
                 else 1.0
             )
-
-        jobs = [
-            [
-                (
-                    base * rng.randrange(1, SMALL.r),
-                    base * rng.randrange(1, SMALL.r),
-                    rng.randrange(1, SMALL.r),
-                )
-                for _ in range(K)
-            ]
-            for _ in range(8)
-        ]
-        accel.set_tier(tiers[-1])
-        pairing = Pairing(SMALL)
-        serial_s = _timed(
-            lambda: [pairing.pair_product(job) for job in jobs], rounds=3
-        )
-        with PairingPool() as pool:
-            pool_s = _timed(
-                lambda: pool.pair_products(pairing, jobs), rounds=3
-            )
-            mode = pool.describe()["mode"]
-        parallel = {
-            "members": len(jobs),
-            "pairs_per_member": K,
-            "workers": default_workers(),
-            "mode": mode,
-            "serial_ms": serial_s * 1e3,
-            "pool_ms": pool_s * 1e3,
-            "speedup": serial_s / pool_s,
-        }
     finally:
         accel.set_tier(prior)
 
@@ -496,7 +458,6 @@ def bench_crypto_tiers() -> dict:
         "tiers": tiers,
         "active_default": accel.describe()["tier"],
         "primitives": primitives,
-        "parallel": parallel,
     }
 
 
@@ -559,11 +520,6 @@ def _print_summary(report: dict) -> None:
         if section == "crypto_tier":
             for name, row in values["primitives"].items():
                 print("  %-22s %5.2fx compiled/pure" % (name, row["speedup"]))
-            par = values["parallel"]
-            print(
-                "  %-22s %5.2fx pool/serial (%d workers, %s)"
-                % ("parallel_batch_8", par["speedup"], par["workers"], par["mode"])
-            )
         elif "speedup" in values:
             print("  %-22s %5.2fx" % (section, values["speedup"]))
         elif "availability" in values:
