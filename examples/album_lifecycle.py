@@ -5,8 +5,8 @@ Combines the library's extension features around the paper's core flow:
 
 1. A curator shares a three-item album behind ONE puzzle (k = 2 of 4).
 2. An attendee solves once and downloads every item.
-3. An online guesser hammers the verifier and gets locked out
-   (ThrottledPuzzleServiceC1).
+3. An online guesser hammers the verifier and gets locked out (the
+   service's guess budget, ``max_failures``).
 4. After enough releases, the rotation policy fires; the curator re-keys
    the puzzle (section VI-C countermeasure) — hoarded shares die, but the
    same answers still work for legitimate friends.
@@ -22,26 +22,9 @@ from repro.core.album import AlbumReceiver, AlbumSharer
 from repro.core.construction1 import ReceiverC1, SharerC1
 from repro.core.context import Context, QAPair
 from repro.core.errors import AccessDeniedError
-from repro.core.rotation import RotationPolicy, rotate_puzzle
-from repro.core.throttle import ThrottledError, ThrottledPuzzleServiceC1
+from repro.core.rotation import RotatingPuzzleService, RotationPolicy
+from repro.core.throttle import ThrottledError
 from repro.osn.storage import StorageHost
-
-
-class ThrottledRotatingService(ThrottledPuzzleServiceC1):
-    """Throttling + release counting for rotation, composed."""
-
-    def __init__(self, policy: RotationPolicy, **kwargs):
-        super().__init__(**kwargs)
-        self.policy = policy
-        self.releases: dict[int, int] = {}
-
-    def verify(self, answers, requester: str = ""):
-        release = super().verify(answers, requester=requester)
-        self.releases[answers.puzzle_id] = self.releases.get(answers.puzzle_id, 0) + 1
-        return release
-
-    def due_for_rotation(self, puzzle_id: int) -> bool:
-        return self.policy.should_rotate(self.releases.get(puzzle_id, 0))
 
 
 def solve_album(service, storage, puzzle_id, knowledge, who, seed):
@@ -70,7 +53,7 @@ def main() -> None:
 
     storage = StorageHost()
     curator = SharerC1("curator", storage)
-    service = ThrottledRotatingService(
+    service = RotatingPuzzleService(
         policy=RotationPolicy(max_releases=2), max_failures=3
     )
     puzzle = AlbumSharer(curator).upload_album(album, context, k=2, n=4)
@@ -100,15 +83,15 @@ def main() -> None:
     # 4. releases accumulate -> rotation due
     solve_album(service, storage, puzzle_id, context, "second-friend", seed=1)
     print("rotation due after %d releases: %s" % (
-        service.releases[puzzle_id], service.due_for_rotation(puzzle_id)
+        service.releases_since_rotation(puzzle_id),
+        service.due_for_rotation(puzzle_id),
     ))
     # NOTE: rotating an *album* re-encrypts the manifest; items stay put
     # (their keys derive from the old secret, so a full album rotation
     # re-uploads items too — done here via upload_album again).
     new_puzzle = AlbumSharer(curator).upload_album(album, context, k=2, n=4)
     storage.delete(puzzle.url)
-    service._puzzles[puzzle_id] = new_puzzle
-    service.releases[puzzle_id] = 0
+    service.install_rotation(puzzle_id, new_puzzle)
     print("curator rotated the album puzzle (fresh secret, key, shares)")
 
     receiver2, manifest2 = solve_album(

@@ -176,7 +176,7 @@ def sp_dictionary_attack_c2(
     stores unkeyed hashes H(a_i), so a dictionary can even be precomputed
     across puzzles. With enough cracked answers the SP runs the public
     KeyGen and decrypts exactly as a legitimate receiver would."""
-    record = service._record(puzzle_id)
+    record = service._lookup(puzzle_id)
     cracked: dict[str, str] = {}
     for attribute in record.tree_perturbed.attributes():
         question, rest = split_attribute(attribute)

@@ -43,7 +43,6 @@ from repro.core.errors import (
     ShareFailedError,
     SocialPuzzleError,
 )
-from repro.core.throttle import ThrottledPuzzleServiceC1, ThrottledPuzzleServiceC2
 from repro.crypto.bls import BlsScheme
 from repro.crypto.ec import CurveParams
 from repro.obs import Observability
@@ -479,16 +478,12 @@ class SocialPuzzleAppC1(_PuzzleAppBase):
         dh_bus: MessageBus | None = None,
     ):
         self.bls = bls
-        if throttle_max_failures is not None:
-            service: PuzzleServiceC1 = ThrottledPuzzleServiceC1(
-                max_failures=throttle_max_failures, audit=provider.audit
-            )
-        else:
-            service = PuzzleServiceC1(audit=provider.audit)
         super().__init__(
             provider,
             storage,
-            service,
+            PuzzleServiceC1(
+                audit=provider.audit, max_failures=throttle_max_failures
+            ),
             transport=transport,
             retry=retry,
             obs=obs,
@@ -719,18 +714,14 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
         self.params = params
         self.digestmod = digestmod
         self.legacy_unperturbed_ciphertext = legacy_unperturbed_ciphertext
-        if throttle_max_failures is not None:
-            service: PuzzleServiceC2 = ThrottledPuzzleServiceC2(
-                max_failures=throttle_max_failures,
-                audit=provider.audit,
-                digestmod=digestmod,
-            )
-        else:
-            service = PuzzleServiceC2(audit=provider.audit, digestmod=digestmod)
         super().__init__(
             provider,
             storage,
-            service,
+            PuzzleServiceC2(
+                audit=provider.audit,
+                digestmod=digestmod,
+                max_failures=throttle_max_failures,
+            ),
             transport=transport,
             retry=retry,
             obs=obs,

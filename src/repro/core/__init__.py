@@ -8,6 +8,10 @@ Two constructions for context-based access control:
   Perturb/Reconstruct algorithms: :class:`SharerC2`,
   :class:`PuzzleServiceC2`, :class:`ReceiverC2`.
 
+Both SP services derive from :class:`PuzzleService` (:mod:`repro.core.service`):
+the registry, the retract saga, Explain and the optional guess budget
+(``max_failures``, :mod:`repro.core.throttle`).
+
 Shared vocabulary: :class:`Context` / :class:`QAPair` (section IV's
 key-value context model) and :class:`Puzzle` (the Z_O object). Baselines
 live in :mod:`repro.core.baseline`.
@@ -48,7 +52,8 @@ from repro.core.entropy import (
 )
 from repro.core.album import AlbumManifest, AlbumReceiver, AlbumSharer
 from repro.core.picture import ImageRef, PicturePuzzleBuilder, PictureQuestion
-from repro.core.throttle import ThrottledError, ThrottledPuzzleServiceC1
+from repro.core.service import PuzzleService
+from repro.core.throttle import ThrottledError
 from repro.core.puzzle import Puzzle, PuzzleEntry
 from repro.core.recommend import CandidateQuestion, ContextRecommender
 from repro.core.rotation import (
@@ -83,7 +88,7 @@ __all__ = [
     "AlbumSharer",
     "AlbumReceiver",
     "AlbumManifest",
-    "ThrottledPuzzleServiceC1",
+    "PuzzleService",
     "ThrottledError",
     "SharerC1",
     "PuzzleServiceC1",

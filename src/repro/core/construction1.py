@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 import secrets
-import threading
 from dataclasses import dataclass
 
 from repro.abe.access_tree import AccessTree
@@ -36,18 +35,17 @@ from repro.core.errors import (
     AccessDeniedError,
     PuzzleParameterError,
     TamperDetectedError,
-    UnknownPuzzleError,
 )
 from repro.core.puzzle import Puzzle, PuzzleEntry, blind_share, unblind_share
+from repro.core.service import PuzzleService
 from repro.crypto import gibberish
 from repro.crypto.bls import BlsKeyPair, BlsScheme
 from repro.crypto.field import PrimeField
 from repro.crypto.hashes import sha3_256
 from repro.crypto.polynomial import Polynomial
 from repro.crypto.shamir import Share, reconstruct_secret
-from repro.osn.storage import AuditTrail, StorageHost
+from repro.osn.storage import StorageHost
 from repro.policy.compile import encode_shape, share_plan, shape_tree, solve_shape
-from repro.policy.explain import Explanation, explain_tree
 from repro.policy.model import PuzzlePolicy
 from repro.util.codec import Reader, blob, text, u32
 
@@ -357,73 +355,32 @@ class SharerC1:
         return puzzle
 
 
-class PuzzleServiceC1:
-    """The SP-side access-control service: stores puzzles, displays
-    question subsets and verifies hashed answers."""
+class PuzzleServiceC1(PuzzleService):
+    """The SP-side access-control service for Construction 1: stores
+    puzzles, displays question subsets and verifies keyed answer hashes
+    (registry, retract saga, Explain and guess budget in
+    :class:`~repro.core.service.PuzzleService`)."""
 
-    def __init__(self, audit: AuditTrail | None = None):
-        self.audit = audit if audit is not None else AuditTrail()
-        self._puzzles: dict[int, Puzzle] = {}
-        self._retracting: dict[int, Puzzle] = {}
-        self._policy_texts: dict[int, str] = {}
-        self._serial = 0
-        # Guards identifier allocation only: concurrent store_puzzle
-        # calls (the smart server dispatches in worker threads) must
-        # never mint the same id. Reads and single-key dict updates stay
-        # lock-free under the GIL.
-        self._serial_lock = threading.Lock()
+    construction = 1
 
     def store_puzzle(self, puzzle: Puzzle) -> int:
         """Accept an uploaded Z_O; returns its post/puzzle identifier."""
         self.audit.record(puzzle.to_bytes())
-        with self._serial_lock:
-            self._serial += 1
-            puzzle_id = self._serial
-        self._puzzles[puzzle_id] = puzzle
+        puzzle_id = self._allocate_id()
+        self._registrations[puzzle_id] = puzzle
         return puzzle_id
-
-    def _puzzle(self, puzzle_id: int) -> Puzzle:
-        try:
-            return self._puzzles[puzzle_id]
-        except KeyError:
-            raise UnknownPuzzleError(puzzle_id) from None
-
-    def puzzle_count(self) -> int:
-        return len(self._puzzles)
-
-    def remove_puzzle(self, puzzle_id: int) -> bool:
-        """Unregister a puzzle (sharer retraction or publish rollback);
-        returns whether anything was removed. Identifiers are never
-        reused, so a rolled-back registration leaves no trace."""
-        prepared = self._retracting.pop(puzzle_id, None) is not None
-        self._policy_texts.pop(puzzle_id, None)
-        return self._puzzles.pop(puzzle_id, None) is not None or prepared
-
-    # -- the policy plane ----------------------------------------------------------
-
-    def attach_policy(self, puzzle_id: int, policy_text: str) -> None:
-        """Record the sharer's canonical policy expression for a stored
-        puzzle (the SharePolicy verb). Question-level only — the text
-        must never contain answers, and the SP uses it purely to echo a
-        faithful rendering in explain replies."""
-        self._puzzle(puzzle_id)  # raises UnknownPuzzleError
-        self._policy_texts[puzzle_id] = policy_text
-
-    def policy_text(self, puzzle_id: int) -> str | None:
-        """The attached policy expression, if the sharer registered one."""
-        return self._policy_texts.get(puzzle_id)
 
     def question_tree(self, puzzle_id: int) -> AccessTree:
         """The question-level policy tree of a stored puzzle: the gate
         shape re-labeled with the questions (nested), or the implicit
         height-1 ``k of (questions)`` gate (flat)."""
-        puzzle = self._puzzle(puzzle_id)
+        puzzle = self._lookup(puzzle_id)
         if puzzle.policy_shape:
             return shape_tree(puzzle.policy_shape, puzzle.questions)
         return AccessTree.k_of_n(puzzle.k, puzzle.questions)
 
     def _matched_questions(self, answers: PuzzleAnswers) -> set[str]:
-        puzzle = self._puzzle(answers.puzzle_id)
+        puzzle = self._lookup(answers.puzzle_id)
         matched: set[str] = set()
         for question, digest in answers.digests.items():
             try:
@@ -433,59 +390,6 @@ class PuzzleServiceC1:
             if entry.answer_digest == digest:
                 matched.add(question)
         return matched
-
-    def explain(self, answers: PuzzleAnswers) -> Explanation:
-        """The audit-grade derivation for one verification attempt.
-
-        Evaluates the question-level tree over the *matched* leaves and
-        traces every gate — grant and deny alike (no exception on deny:
-        the whole point is explaining the failure). Only questions and
-        gate arithmetic enter the trace; never a hash, answer or share.
-        """
-        matched = self._matched_questions(answers)
-        return explain_tree(
-            self.question_tree(answers.puzzle_id),
-            matched,
-            construction=1,
-            puzzle_id=answers.puzzle_id,
-            policy_text=self._policy_texts.get(answers.puzzle_id),
-        )
-
-    # -- the two-phase retract saga ----------------------------------------------
-
-    def prepare_retract(self, puzzle_id: int) -> str:
-        """Saga phase 1: move the registration into the retracting set —
-        display/verify stop serving it immediately — and return its
-        URL_O so the DH plane can delete the blob. Idempotent: re-
-        preparing an already-prepared puzzle returns the same URL.
-        Unknown ids raise :class:`UnknownPuzzleError`."""
-        if puzzle_id in self._retracting:
-            return self._retracting[puzzle_id].url
-        puzzle = self._puzzle(puzzle_id)
-        self._retracting[puzzle_id] = puzzle
-        del self._puzzles[puzzle_id]
-        return puzzle.url
-
-    def commit_retract(self, puzzle_id: int) -> bool:
-        """Saga phase 2: discard the prepared registration for good;
-        returns whether a prepared retract existed (idempotent)."""
-        committed = self._retracting.pop(puzzle_id, None) is not None
-        if committed:
-            self._policy_texts.pop(puzzle_id, None)
-        return committed
-
-    def abort_retract(self, puzzle_id: int) -> bool:
-        """Saga rollback: restore a prepared registration, exactly as it
-        was before the prepare; returns whether one was pending."""
-        puzzle = self._retracting.pop(puzzle_id, None)
-        if puzzle is None:
-            return False
-        self._puzzles[puzzle_id] = puzzle
-        return True
-
-    def pending_retracts(self) -> list[int]:
-        """Prepared-but-uncommitted retracts (recovery introspection)."""
-        return sorted(self._retracting)
 
     def display_puzzle(
         self, puzzle_id: int, rng: random.Random | None = None
@@ -497,7 +401,7 @@ class PuzzleServiceC1:
         leaf could make a satisfiable branch (e.g. the escrow arm of an
         OR) unanswerable.
         """
-        puzzle = self._puzzle(puzzle_id)
+        puzzle = self._lookup(puzzle_id)
         rng = rng or random.Random(secrets.randbits(64))
         r = puzzle.n if puzzle.policy_shape else rng.randint(puzzle.k, puzzle.n)
         questions = rng.sample(puzzle.questions, r)
@@ -508,16 +412,14 @@ class PuzzleServiceC1:
             k=puzzle.k,
         )
 
-    def verify(self, answers: PuzzleAnswers) -> ShareRelease:
-        """Verify(u, h_1..h_r): release blinded shares iff the policy holds.
+    def _release(self, answers: PuzzleAnswers) -> ShareRelease:
+        """Release blinded shares iff the policy holds.
 
         Flat puzzles keep the paper's rule — >= k hashes match. A puzzle
         carrying a policy shape instead evaluates the gate tree over the
-        matched questions (still hashes only). Either way a failure
-        raises :class:`AccessDeniedError` with no partial information
-        (the paper: "SP does not send anything").
+        matched questions (still hashes only).
         """
-        puzzle = self._puzzle(answers.puzzle_id)
+        puzzle = self._lookup(answers.puzzle_id)
         self.audit.record(
             b"".join(q.encode() + d for q, d in answers.digests.items())
         )

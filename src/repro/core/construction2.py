@@ -31,8 +31,7 @@ Answer hashes default to SHA-1 exactly because the paper's Implementation
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.abe.access_tree import AccessTree
 from repro.abe.cpabe import CPABE, HybridCiphertext, MasterKey, PolicyNotSatisfiedError, PublicKey
@@ -51,8 +50,8 @@ from repro.core.errors import (
     AccessDeniedError,
     PuzzleParameterError,
     TamperDetectedError,
-    UnknownPuzzleError,
 )
+from repro.core.service import PuzzleService
 from repro.crypto.ec import CurveParams
 from repro.crypto.hashes import new as new_hash
 from repro.crypto.modes import IntegrityError
@@ -389,77 +388,41 @@ class SharerC2:
         return self.upload_tree(obj, compile_tree_c2(policy, context))
 
 
-class PuzzleServiceC2:
-    """SP-side service for Construction 2: holds tau', PK, MK and URL_O."""
+class PuzzleServiceC2(PuzzleService):
+    """SP-side service for Construction 2: holds tau', PK, MK and URL_O
+    (registry, retract saga, Explain and guess budget in
+    :class:`~repro.core.service.PuzzleService`)."""
 
-    def __init__(self, audit: AuditTrail | None = None, digestmod: str = "sha1"):
-        self.audit = audit if audit is not None else AuditTrail()
+    construction = 2
+
+    def __init__(
+        self,
+        audit: AuditTrail | None = None,
+        digestmod: str = "sha1",
+        max_failures: int | None = None,
+    ):
+        super().__init__(audit=audit, max_failures=max_failures)
         self.digestmod = digestmod
-        self._records: dict[int, C2Upload] = {}
-        self._retracting: dict[int, C2Upload] = {}
-        self._policy_texts: dict[int, str] = {}
-        self._serial = 0
-        # Guards identifier allocation under concurrent dispatch (see
-        # PuzzleServiceC1); everything else relies on GIL-atomic dict ops.
-        self._serial_lock = threading.Lock()
 
     def store_upload(self, record: C2Upload) -> int:
         self.audit.record(encode_access_tree(record.tree_perturbed))
         self.audit.record(record.pk_bytes)
         self.audit.record(record.mk_bytes)
         self.audit.record(record.url.encode())
-        with self._serial_lock:
-            self._serial += 1
-            puzzle_id = self._serial
-        stored = C2Upload(
-            puzzle_id=puzzle_id,
-            tree_perturbed=record.tree_perturbed,
-            pk_bytes=record.pk_bytes,
-            mk_bytes=record.mk_bytes,
-            url=record.url,
-            sharer_name=record.sharer_name,
-        )
-        self._records[puzzle_id] = stored
+        puzzle_id = self._allocate_id()
+        self._registrations[puzzle_id] = replace(record, puzzle_id=puzzle_id)
         return puzzle_id
-
-    def _record(self, puzzle_id: int) -> C2Upload:
-        try:
-            return self._records[puzzle_id]
-        except KeyError:
-            raise UnknownPuzzleError(puzzle_id) from None
-
-    def puzzle_count(self) -> int:
-        return len(self._records)
-
-    def remove_upload(self, puzzle_id: int) -> bool:
-        """Unregister an upload (sharer retraction or publish rollback);
-        returns whether anything was removed."""
-        prepared = self._retracting.pop(puzzle_id, None) is not None
-        self._policy_texts.pop(puzzle_id, None)
-        return self._records.pop(puzzle_id, None) is not None or prepared
-
-    # -- the policy plane ----------------------------------------------------------
-
-    def attach_policy(self, puzzle_id: int, policy_text: str) -> None:
-        """Record the sharer's canonical policy expression (SharePolicy
-        verb); used only to echo a faithful rendering in explain replies."""
-        self._record(puzzle_id)  # raises UnknownPuzzleError
-        self._policy_texts[puzzle_id] = policy_text
-
-    def policy_text(self, puzzle_id: int) -> str | None:
-        """The attached policy expression, if the sharer registered one."""
-        return self._policy_texts.get(puzzle_id)
 
     def question_tree(self, puzzle_id: int) -> AccessTree:
         """tau' with every leaf reduced to its question — the policy
         structure an explain trace may legitimately reveal."""
-        record = self._record(puzzle_id)
+        record = self._lookup(puzzle_id)
         return record.tree_perturbed.relabel(
             lambda attribute: split_attribute(attribute)[0]
         )
 
     def _matched_questions(self, answers: PuzzleAnswersC2) -> set[str]:
-        record = self._record(answers.puzzle_id)
+        record = self._lookup(answers.puzzle_id)
         matched: set[str] = set()
         for attribute in record.tree_perturbed.attributes():
             question, rest = split_attribute(attribute)
@@ -469,57 +432,8 @@ class PuzzleServiceC2:
                 matched.add(question)
         return matched
 
-    def explain(self, answers: PuzzleAnswersC2):
-        """Gate-by-gate grant/deny derivation over hashed answers only
-        (see :meth:`PuzzleServiceC1.explain` — identical contract)."""
-        from repro.policy.explain import explain_tree
-
-        matched = self._matched_questions(answers)
-        return explain_tree(
-            self.question_tree(answers.puzzle_id),
-            matched,
-            construction=2,
-            puzzle_id=answers.puzzle_id,
-            policy_text=self._policy_texts.get(answers.puzzle_id),
-        )
-
-    # -- the two-phase retract saga ----------------------------------------------
-
-    def prepare_retract(self, puzzle_id: int) -> str:
-        """Saga phase 1: move the record into the retracting set —
-        display/verify stop serving it immediately — and return its
-        URL_O so the DH plane can delete the blob. Idempotent per
-        puzzle; unknown ids raise :class:`UnknownPuzzleError`."""
-        if puzzle_id in self._retracting:
-            return self._retracting[puzzle_id].url
-        record = self._record(puzzle_id)
-        self._retracting[puzzle_id] = record
-        del self._records[puzzle_id]
-        return record.url
-
-    def commit_retract(self, puzzle_id: int) -> bool:
-        """Saga phase 2: discard the prepared record for good; returns
-        whether a prepared retract existed (idempotent)."""
-        committed = self._retracting.pop(puzzle_id, None) is not None
-        if committed:
-            self._policy_texts.pop(puzzle_id, None)
-        return committed
-
-    def abort_retract(self, puzzle_id: int) -> bool:
-        """Saga rollback: restore a prepared record unchanged; returns
-        whether one was pending."""
-        record = self._retracting.pop(puzzle_id, None)
-        if record is None:
-            return False
-        self._records[puzzle_id] = record
-        return True
-
-    def pending_retracts(self) -> list[int]:
-        """Prepared-but-uncommitted retracts (recovery introspection)."""
-        return sorted(self._retracting)
-
     def display_puzzle(self, puzzle_id: int) -> DisplayedPuzzleC2:
-        record = self._record(puzzle_id)
+        record = self._lookup(puzzle_id)
         root = record.tree_perturbed.root
         questions = tuple(
             split_attribute(attr)[0] for attr in record.tree_perturbed.attributes()
@@ -529,7 +443,7 @@ class PuzzleServiceC2:
             puzzle_id=puzzle_id, questions=questions, threshold=threshold
         )
 
-    def verify(self, answers: PuzzleAnswersC2) -> AccessGrantC2:
+    def _release(self, answers: PuzzleAnswersC2) -> AccessGrantC2:
         """Match hashed answers against the hashes embedded in tau'.
 
         For the paper's height-1 trees this is the threshold count of
@@ -537,7 +451,7 @@ class PuzzleServiceC2:
         the SP evaluates satisfiability of tau' over the *matched* leaves —
         still using only hashes, so surveillance resistance is unchanged.
         """
-        record = self._record(answers.puzzle_id)
+        record = self._lookup(answers.puzzle_id)
         self.audit.record(
             b"".join(q.encode() + d.encode() for q, d in answers.digests.items())
         )

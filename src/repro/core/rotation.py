@@ -19,7 +19,7 @@ paper's "periodically".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.construction1 import PuzzleServiceC1, SharerC1
 from repro.core.construction2 import C2Upload, PuzzleServiceC2, SharerC2, split_attribute
@@ -84,7 +84,7 @@ def install_rotation_c2(
     service: PuzzleServiceC2, puzzle_id: int, new_record: C2Upload
 ) -> None:
     """Swap a rotated C2 upload in under an existing puzzle id."""
-    old = service._record(puzzle_id)
+    old = service._lookup(puzzle_id)
     if new_record.mk_bytes == old.mk_bytes:
         raise PuzzleParameterError("replacement upload was not re-keyed")
     old_questions = {
@@ -97,14 +97,7 @@ def install_rotation_c2(
         raise PuzzleParameterError(
             "rotation must preserve the question set (the context is fixed)"
         )
-    service._records[puzzle_id] = C2Upload(
-        puzzle_id=puzzle_id,
-        tree_perturbed=new_record.tree_perturbed,
-        pk_bytes=new_record.pk_bytes,
-        mk_bytes=new_record.mk_bytes,
-        url=new_record.url,
-        sharer_name=new_record.sharer_name,
-    )
+    service._registrations[puzzle_id] = replace(new_record, puzzle_id=puzzle_id)
 
 
 @dataclass
@@ -138,15 +131,15 @@ class RotatingPuzzleService(PuzzleServiceC1):
         self.policy = policy if policy is not None else RotationPolicy()
         self._releases: dict[int, int] = {}
 
-    def verify(self, answers):
-        release = super().verify(answers)
+    def _release(self, answers):
+        release = super()._release(answers)
         self._releases[answers.puzzle_id] = (
             self._releases.get(answers.puzzle_id, 0) + 1
         )
         return release
 
     def releases_since_rotation(self, puzzle_id: int) -> int:
-        self._puzzle(puzzle_id)  # raises UnknownPuzzleError when absent
+        self._lookup(puzzle_id)  # raises UnknownPuzzleError when absent
         return self._releases.get(puzzle_id, 0)
 
     def due_for_rotation(self, puzzle_id: int) -> bool:
@@ -154,7 +147,7 @@ class RotatingPuzzleService(PuzzleServiceC1):
 
     def install_rotation(self, puzzle_id: int, new_puzzle: Puzzle) -> None:
         """Swap in a rotated puzzle under the existing identifier."""
-        old = self._puzzle(puzzle_id)
+        old = self._lookup(puzzle_id)
         if old.puzzle_key == new_puzzle.puzzle_key:
             raise PuzzleParameterError("replacement puzzle was not re-keyed")
         if {e.question for e in old.entries} != {
@@ -164,5 +157,5 @@ class RotatingPuzzleService(PuzzleServiceC1):
                 "rotation must preserve the question set (the context is fixed)"
             )
         self.audit.record(new_puzzle.to_bytes())
-        self._puzzles[puzzle_id] = new_puzzle
+        self._registrations[puzzle_id] = new_puzzle
         self._releases[puzzle_id] = 0

@@ -4,14 +4,16 @@ The offline dictionary attack of :mod:`repro.analysis.security` needs the
 puzzle (and K_Z); an *online* guesser needs only the displayed questions —
 it can submit candidate answers to Verify until the threshold clears. The
 paper's semi-honest SP model doesn't address this, but any deployment
-must: the throttled services lock a requester out of a puzzle after a
-bounded number of failed verifications, turning the attack cost from
-"vocabulary size" into "max_failures".
+must: a :class:`~repro.core.service.PuzzleService` built with
+``max_failures`` locks a requester out of a puzzle after a bounded number
+of failed verifications, turning the attack cost from "vocabulary size"
+into "max_failures".
 
-Both constructions share the same lockout policy, extracted into
-:class:`GuessThrottle`: per-(puzzle, requester) failed-attempt budgets,
-reset on success, with sharer-initiated forgiveness. Construction 1 and 2
-verifiers differ only in what "verify" means.
+The lockout policy lives in :class:`GuessThrottle`: per-(puzzle,
+requester) failed-attempt budgets, reset on success, with
+sharer-initiated forgiveness. Both constructions' services run Verify
+and Explain under the same throttle; they differ only in what "verify"
+means.
 
 This interacts with the entropy auditor: a puzzle whose k weakest answers
 total ~20 bits is hopeless against an offline adversary (the SP itself)
@@ -21,19 +23,15 @@ the trust distinction of the paper's section IV model.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
-from repro.core.construction1 import PuzzleAnswers, PuzzleServiceC1, ShareRelease
-from repro.core.construction2 import AccessGrantC2, PuzzleAnswersC2, PuzzleServiceC2
 from repro.core.errors import AccessDeniedError, SocialPuzzleError
 from repro.obs.runtime import count, emit_event
 
-__all__ = [
-    "ThrottledError",
-    "GuessThrottle",
-    "ThrottledPuzzleServiceC1",
-    "ThrottledPuzzleServiceC2",
-]
+__all__ = ["ThrottledError", "GuessThrottle"]
 
 
 class ThrottledError(SocialPuzzleError):
@@ -43,10 +41,15 @@ class ThrottledError(SocialPuzzleError):
 @dataclass
 class _Budget:
     failures: int = 0
+    in_flight: int = 0
     locked: bool = False
 
 
 _UNTOUCHED = _Budget()  # what a pair with no recorded failure reads as
+
+
+class _Attempt:
+    granted: bool | None = None  # None: ended neither granted nor denied
 
 
 class GuessThrottle:
@@ -64,10 +67,14 @@ class GuessThrottle:
             raise ValueError("max_failures must be >= 1")
         self.max_failures = max_failures
         self._budgets: dict[tuple[int, str], _Budget] = {}
+        # Budgets are read-modify-write state shared by every dispatch
+        # thread; admission and settlement must not interleave.
+        self._lock = threading.Lock()
 
     def _peek(self, puzzle_id: int, requester: str) -> _Budget:
-        """The pair's budget without allocating one: only a failure
-        creates state, so probes and grants leave ``_budgets`` alone."""
+        """The pair's budget without allocating one: only a failure or an
+        attempt in flight creates state, so probes and grants leave
+        ``_budgets`` alone."""
         return self._budgets.get((puzzle_id, requester), _UNTOUCHED)
 
     def check(self, puzzle_id: int, requester: str) -> None:
@@ -78,6 +85,50 @@ class GuessThrottle:
                 % (requester, puzzle_id, self.max_failures)
             )
 
+    @contextmanager
+    def attempt(self, puzzle_id: int, requester: str) -> Iterator[_Attempt]:
+        """Admit one guess against the pair's budget, then settle it.
+
+        Admission reserves one unit of budget under the lock, so at most
+        ``max_failures`` attempts per pair are failing or in flight at
+        once: concurrent guesses cannot all pass the check before any of
+        them is charged. The body marks ``granted`` on the yielded
+        attempt; an :class:`AccessDeniedError` escaping it counts as a
+        deny. On exit the unit is charged (deny), the count reset
+        (grant), or the unit returned uncharged (any other exception).
+        """
+        key = (puzzle_id, requester)
+        with self._lock:
+            self.check(puzzle_id, requester)
+            budget = self._budgets.get(key)
+            if budget is None:
+                budget = self._budgets[key] = _Budget()
+            elif budget.failures + budget.in_flight >= self.max_failures:
+                raise ThrottledError(
+                    "requester %r already has %d guesses failing or in "
+                    "flight on puzzle %d" % (requester, self.max_failures, puzzle_id)
+                )
+            budget.in_flight += 1
+        attempt = _Attempt()
+        try:
+            yield attempt
+        except AccessDeniedError:
+            attempt.granted = False
+            raise
+        finally:
+            # Settle before returning the reservation, so no admission
+            # sees this attempt as neither in flight nor charged.
+            if attempt.granted is False:
+                self.record_failure(puzzle_id, requester)
+            elif attempt.granted:
+                self.record_success(puzzle_id, requester)
+            with self._lock:
+                budget.in_flight -= 1
+                idle = not (budget.failures or budget.in_flight or budget.locked)
+                # unlock() may have dropped this budget mid-attempt.
+                if idle and self._budgets.get(key) is budget:
+                    del self._budgets[key]
+
     def record_failure(self, puzzle_id: int, requester: str) -> None:
         """Charge one failed verification against the requester's budget.
 
@@ -86,25 +137,27 @@ class GuessThrottle:
         event (the requester name is redacted by the event log — it is
         personal data, not an operational label).
         """
-        budget = self._budgets.setdefault((puzzle_id, requester), _Budget())
-        budget.failures += 1
-        count("core.throttle.failures")
-        if budget.failures >= self.max_failures:
-            budget.locked = True
-            count("core.throttle.lockouts")
-            emit_event(
-                "throttle.lockout",
-                puzzle_id=puzzle_id,
-                requester=requester,
-                failures=budget.failures,
-            )
+        with self._lock:
+            budget = self._budgets.setdefault((puzzle_id, requester), _Budget())
+            budget.failures += 1
+            count("core.throttle.failures")
+            if budget.failures >= self.max_failures:
+                budget.locked = True
+                count("core.throttle.lockouts")
+                emit_event(
+                    "throttle.lockout",
+                    puzzle_id=puzzle_id,
+                    requester=requester,
+                    failures=budget.failures,
+                )
 
     def record_success(self, puzzle_id: int, requester: str) -> None:
         """Reset the failure count — a verified friend isn't punished for
         an earlier typo. Does not clear an existing lockout."""
-        budget = self._budgets.get((puzzle_id, requester))
-        if budget is not None:
-            budget.failures = 0
+        with self._lock:
+            budget = self._budgets.get((puzzle_id, requester))
+            if budget is not None:
+                budget.failures = 0
 
     def failures_for(self, puzzle_id: int, requester: str = "") -> int:
         """Current failed-attempt count for the (puzzle, requester) pair."""
@@ -116,86 +169,5 @@ class GuessThrottle:
 
     def unlock(self, puzzle_id: int, requester: str = "") -> None:
         """Sharer-initiated forgiveness (e.g. after rotating the puzzle)."""
-        self._budgets.pop((puzzle_id, requester), None)
-
-
-class _ThrottleMixin:
-    """Shared glue: delegate budget bookkeeping to a GuessThrottle."""
-
-    throttle: GuessThrottle
-
-    @property
-    def max_failures(self) -> int:
-        return self.throttle.max_failures
-
-    def failures_for(self, puzzle_id: int, requester: str = "") -> int:
-        return self.throttle.failures_for(puzzle_id, requester)
-
-    def is_locked(self, puzzle_id: int, requester: str = "") -> bool:
-        return self.throttle.is_locked(puzzle_id, requester)
-
-    def unlock(self, puzzle_id: int, requester: str = "") -> None:
-        self.throttle.unlock(puzzle_id, requester)
-
-
-class ThrottledPuzzleServiceC1(_ThrottleMixin, PuzzleServiceC1):
-    """A PuzzleServiceC1 that bounds failed verifications per requester."""
-
-    def __init__(self, max_failures: int = 5, **kwargs):
-        super().__init__(**kwargs)
-        self.throttle = GuessThrottle(max_failures)
-
-    def verify(self, answers: PuzzleAnswers, requester: str = "") -> ShareRelease:
-        """Gate, verify, and account: raises :class:`ThrottledError` once
-        the requester is locked out, charges a failure on
-        :class:`~repro.core.errors.AccessDeniedError`, resets on success."""
-        self.throttle.check(answers.puzzle_id, requester)
-        try:
-            release = super().verify(answers)
-        except AccessDeniedError:
-            self.throttle.record_failure(answers.puzzle_id, requester)
-            raise
-        self.throttle.record_success(answers.puzzle_id, requester)
-        return release
-
-    def explain(self, answers: PuzzleAnswers, requester: str = ""):
-        """Explain shares the verify budget: a denied explanation is an
-        answer-probing attempt and charges a failure, so Explain cannot
-        be used as an unthrottled guessing oracle."""
-        self.throttle.check(answers.puzzle_id, requester)
-        explanation = super().explain(answers)
-        if explanation.granted:
-            self.throttle.record_success(answers.puzzle_id, requester)
-        else:
-            self.throttle.record_failure(answers.puzzle_id, requester)
-        return explanation
-
-
-class ThrottledPuzzleServiceC2(_ThrottleMixin, PuzzleServiceC2):
-    """A PuzzleServiceC2 that bounds failed verifications per requester."""
-
-    def __init__(self, max_failures: int = 5, **kwargs):
-        super().__init__(**kwargs)
-        self.throttle = GuessThrottle(max_failures)
-
-    def verify(self, answers: PuzzleAnswersC2, requester: str = "") -> AccessGrantC2:
-        """Same lockout contract as the C1 verifier, returning the C2
-        access grant (URL + master key + public key) on success."""
-        self.throttle.check(answers.puzzle_id, requester)
-        try:
-            grant = super().verify(answers)
-        except AccessDeniedError:
-            self.throttle.record_failure(answers.puzzle_id, requester)
-            raise
-        self.throttle.record_success(answers.puzzle_id, requester)
-        return grant
-
-    def explain(self, answers: PuzzleAnswersC2, requester: str = ""):
-        """Same explain/verify shared budget as the C1 service."""
-        self.throttle.check(answers.puzzle_id, requester)
-        explanation = super().explain(answers)
-        if explanation.granted:
-            self.throttle.record_success(answers.puzzle_id, requester)
-        else:
-            self.throttle.record_failure(answers.puzzle_id, requester)
-        return explanation
+        with self._lock:
+            self._budgets.pop((puzzle_id, requester), None)

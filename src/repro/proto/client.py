@@ -166,12 +166,7 @@ class ProtocolClient:
     ) -> list[ShareRelease]:
         """Verify several C1 answer sets in one SP-plane round trip."""
         submissions = [
-            AnswerSubmission(
-                construction=1,
-                puzzle_id=answers.puzzle_id,
-                requester=requester,
-                digests=dict(answers.digests),
-            )
+            AnswerSubmission.from_answers(1, answers, requester)
             for answers in answers_list
         ]
         return [reply.release for reply in self.call_batch("sp.verify", submissions)]
@@ -181,12 +176,7 @@ class ProtocolClient:
     ) -> list[AccessGrantC2]:
         """Verify several C2 answer sets in one SP-plane round trip."""
         submissions = [
-            AnswerSubmission(
-                construction=2,
-                puzzle_id=answers.puzzle_id,
-                requester=requester,
-                digests={q: d.encode("ascii") for q, d in answers.digests.items()},
-            )
+            AnswerSubmission.from_answers(2, answers, requester)
             for answers in answers_list
         ]
         return [reply.grant for reply in self.call_batch("sp.verify", submissions)]
@@ -224,32 +214,14 @@ class ProtocolClient:
     def submit_answers_c1(
         self, answers: PuzzleAnswers, requester: str
     ) -> ShareRelease:
-        reply = self._roundtrip(
-            "sp.verify",
-            AnswerSubmission(
-                construction=1,
-                puzzle_id=answers.puzzle_id,
-                requester=requester,
-                digests=dict(answers.digests),
-            ),
-        )
-        return reply.release
+        submission = AnswerSubmission.from_answers(1, answers, requester)
+        return self._roundtrip("sp.verify", submission).release
 
     def submit_answers_c2(
         self, answers: PuzzleAnswersC2, requester: str
     ) -> AccessGrantC2:
-        reply = self._roundtrip(
-            "sp.verify",
-            AnswerSubmission(
-                construction=2,
-                puzzle_id=answers.puzzle_id,
-                requester=requester,
-                digests={
-                    q: d.encode("ascii") for q, d in answers.digests.items()
-                },
-            ),
-        )
-        return reply.grant
+        submission = AnswerSubmission.from_answers(2, answers, requester)
+        return self._roundtrip("sp.verify", submission).grant
 
     def share_policy(
         self, construction: int, puzzle_id: int, policy_text: str
@@ -267,31 +239,13 @@ class ProtocolClient:
 
     def explain_c1(self, answers: PuzzleAnswers, requester: str):
         """Ask for the grant/deny derivation under the C1 evidence."""
-        reply = self._roundtrip(
-            "sp.explain",
-            ExplainRequest(
-                construction=1,
-                puzzle_id=answers.puzzle_id,
-                requester=requester,
-                digests=dict(answers.digests),
-            ),
-        )
-        return reply.explanation
+        request = ExplainRequest.from_answers(1, answers, requester)
+        return self._roundtrip("sp.explain", request).explanation
 
     def explain_c2(self, answers: PuzzleAnswersC2, requester: str):
         """Ask for the grant/deny derivation under the C2 evidence."""
-        reply = self._roundtrip(
-            "sp.explain",
-            ExplainRequest(
-                construction=2,
-                puzzle_id=answers.puzzle_id,
-                requester=requester,
-                digests={
-                    q: d.encode("ascii") for q, d in answers.digests.items()
-                },
-            ),
-        )
-        return reply.explanation
+        request = ExplainRequest.from_answers(2, answers, requester)
+        return self._roundtrip("sp.explain", request).explanation
 
     def retract(self, construction: int, puzzle_id: int) -> bool:
         reply = self._roundtrip(

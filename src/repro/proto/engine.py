@@ -4,9 +4,12 @@ One server-side state machine for both constructions: store -> display
 -> verify -> release/grant, plus retraction, the profile post and the
 static-ACL read. The construction-specific behaviour lives entirely in
 the registered *backend* (a ``PuzzleServiceC1`` for Shamir, a
-``PuzzleServiceC2`` for CP-ABE, or any fault-injecting/throttling proxy
-around one); the engine owns the message routing, the throttle-aware
-requester plumbing and the error mapping — exactly once.
+``PuzzleServiceC2`` for CP-ABE, or any fault-injecting proxy around
+one); the engine owns the message routing and the error mapping —
+exactly once. Verify, Explain and retract reach every backend through
+the same :class:`~repro.core.service.PuzzleService` surface: the engine
+always passes the requester (the service decides whether a guess budget
+applies) and never asks whether the backend is throttled or wrapped.
 
 ``dispatch(bytes) -> bytes`` is the only entry point. Everything a
 client can do to a puzzle travels through it as a serialized message, so
@@ -32,7 +35,7 @@ no per-request mutable state at all:
   the new service, never a torn mix;
 * mutable state *behind* the engine is the backends' problem, and the
   shipped services honour it: identifier allocation in
-  ``PuzzleServiceC1`` / ``PuzzleServiceC2`` is lock-protected, the
+  ``PuzzleService`` and its guess budgets are lock-protected, the
   metrics registry takes an update lock, and the observability runtime
   keeps per-thread activation stacks.
 
@@ -42,7 +45,6 @@ interleaves two in-flight batches mid-member to pin this contract down.
 
 from __future__ import annotations
 
-from repro.core.throttle import ThrottledPuzzleServiceC1, ThrottledPuzzleServiceC2
 from repro.proto.envelope import peek_type
 from repro.proto.frontends import ProviderFrontend, StorageFrontend, serve, serve_batch
 from repro.proto.messages import (
@@ -91,13 +93,6 @@ _STORAGE_FRAME_TYPES = frozenset(
         StorageDeleteRequest,
     )
 )
-
-
-def _unwrap(service: object) -> object:
-    """Peel fault-injection / resilience proxies off a wrapped service."""
-    while hasattr(service, "wrapped"):
-        service = service.wrapped  # type: ignore[attr-defined]
-    return service
 
 
 class PuzzleProtocolEngine:
@@ -207,22 +202,10 @@ class PuzzleProtocolEngine:
 
     def _verify(self, message: AnswerSubmission) -> Message:
         backend = self.backend(message.construction)
-        throttled = isinstance(
-            _unwrap(backend), (ThrottledPuzzleServiceC1, ThrottledPuzzleServiceC2)
-        )
+        result = backend.verify(message.to_answers(), requester=message.requester)
         if message.construction == 1:
-            answers = message.to_answers_c1()
-            if throttled:
-                release = backend.verify(answers, requester=message.requester)
-            else:
-                release = backend.verify(answers)
-            return ReleaseReply(release=release)
-        answers = message.to_answers_c2()
-        if throttled:
-            grant = backend.verify(answers, requester=message.requester)
-        else:
-            grant = backend.verify(answers)
-        return GrantReply(grant=grant)
+            return ReleaseReply(release=result)
+        return GrantReply(grant=result)
 
     def _share_policy(self, message: SharePolicyRequest) -> Message:
         self.backend(message.construction).attach_policy(
@@ -231,31 +214,18 @@ class PuzzleProtocolEngine:
         return AckReply()
 
     def _explain(self, message: ExplainRequest) -> Message:
-        """Serve the grant/deny derivation for the submitted evidence.
-
-        Explains share the verify throttle budget, so the requester
-        travels exactly as it does for :class:`AnswerSubmission`.
-        """
+        """Serve the grant/deny derivation for the submitted evidence;
+        the requester travels exactly as for :class:`AnswerSubmission`,
+        because explains share the verify guess budget."""
         backend = self.backend(message.construction)
-        throttled = isinstance(
-            _unwrap(backend), (ThrottledPuzzleServiceC1, ThrottledPuzzleServiceC2)
+        explanation = backend.explain(
+            message.to_answers(), requester=message.requester
         )
-        answers = (
-            message.to_answers_c1()
-            if message.construction == 1
-            else message.to_answers_c2()
-        )
-        if throttled:
-            explanation = backend.explain(answers, requester=message.requester)
-        else:
-            explanation = backend.explain(answers)
         return ExplainReply(explanation=explanation)
 
     def _retract(self, message: RetractPuzzleRequest) -> Message:
         backend = self.backend(message.construction)
-        if message.construction == 1:
-            return RetractReply(removed=backend.remove_puzzle(message.puzzle_id))
-        return RetractReply(removed=backend.remove_upload(message.puzzle_id))
+        return RetractReply(removed=backend.remove(message.puzzle_id))
 
     def _retract_saga(self, message: Message) -> Message:
         """The two-phase retract verbs; both backends implement the same

@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.construction1 import DisplayedPuzzle, PuzzleAnswers, ShareRelease
-from repro.core.construction2 import AccessGrantC2, C2Upload, DisplayedPuzzleC2
+from repro.core.construction2 import (
+    AccessGrantC2,
+    C2Upload,
+    DisplayedPuzzleC2,
+    PuzzleAnswersC2,
+)
 from repro.core.errors import (
     AccessDeniedError,
     CircuitOpenError,
@@ -291,17 +296,16 @@ class DisplayPuzzleRequest(Message):
         )
 
 
-@_register
 @dataclass(frozen=True)
-class AnswerSubmission(Message):
-    """Verify: hashed answers per question (never plaintext answers).
+class _AnswerEvidence(Message):
+    """The body Verify and Explain share: hashed answers per question
+    (never plaintext answers).
 
     C1 digests are raw HMAC bytes; C2 digests are hex strings carried as
-    their ASCII bytes. ``requester`` feeds per-requester guess throttling
-    when the service enforces it.
+    their ASCII bytes. ``requester`` keys the per-requester guess budget
+    when the service enforces one.
     """
 
-    TYPE = 0x04
     construction: int
     puzzle_id: int
     requester: str
@@ -315,7 +319,7 @@ class AnswerSubmission(Message):
         return body
 
     @classmethod
-    def decode_body(cls, body: bytes) -> "AnswerSubmission":
+    def decode_body(cls, body: bytes):
         reader = Reader(body)
         construction = reader.u8()
         puzzle_id = reader.u32()
@@ -332,17 +336,33 @@ class AnswerSubmission(Message):
             digests=digests,
         )
 
-    def to_answers_c1(self) -> PuzzleAnswers:
-        return PuzzleAnswers(puzzle_id=self.puzzle_id, digests=dict(self.digests))
+    @classmethod
+    def from_answers(cls, construction: int, answers, requester: str):
+        """The wire form of a construction's answer object."""
+        digests = dict(answers.digests)
+        if construction == 2:
+            digests = {q: d.encode("ascii") for q, d in digests.items()}
+        return cls(construction, answers.puzzle_id, requester, digests)
 
-    def to_answers_c2(self):
-        from repro.core.construction2 import PuzzleAnswersC2
-
+    def to_answers(self):
+        """The construction's answer object for the service (the inverse
+        of :meth:`from_answers`)."""
+        if self.construction == 1:
+            return PuzzleAnswers(puzzle_id=self.puzzle_id, digests=dict(self.digests))
         try:
             digests = {q: d.decode("ascii") for q, d in self.digests.items()}
         except UnicodeDecodeError as exc:
             raise CodecError("C2 digest is not hex text") from exc
         return PuzzleAnswersC2(puzzle_id=self.puzzle_id, digests=digests)
+
+
+@_register
+@dataclass(frozen=True)
+class AnswerSubmission(_AnswerEvidence):
+    """Verify: the hashed evidence, answered with the release (C1) or
+    the grant (C2)."""
+
+    TYPE = 0x04
 
 
 @_register
@@ -572,7 +592,7 @@ class SharePolicyRequest(Message):
 
 @_register
 @dataclass(frozen=True)
-class ExplainRequest(Message):
+class ExplainRequest(_AnswerEvidence):
     """Explain: the same hashed evidence as Verify, answered with the
     gate-by-gate derivation instead of (never in addition to) the
     release. A deny explains without raising; throttled services charge
@@ -580,47 +600,6 @@ class ExplainRequest(Message):
     """
 
     TYPE = 0x12
-    construction: int
-    puzzle_id: int
-    requester: str
-    digests: dict[str, bytes] = field(default_factory=dict)
-
-    def encode_body(self) -> bytes:
-        body = u8(self.construction) + u32(self.puzzle_id) + text(self.requester)
-        body += u32(len(self.digests))
-        for question, digest in self.digests.items():
-            body += text(question) + blob(digest)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ExplainRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        requester = reader.text()
-        digests: dict[str, bytes] = {}
-        for _ in range(reader.u32()):
-            question = reader.text()
-            digests[question] = reader.blob()
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            requester=requester,
-            digests=digests,
-        )
-
-    def to_answers_c1(self) -> PuzzleAnswers:
-        return PuzzleAnswers(puzzle_id=self.puzzle_id, digests=dict(self.digests))
-
-    def to_answers_c2(self):
-        from repro.core.construction2 import PuzzleAnswersC2
-
-        try:
-            digests = {q: d.decode("ascii") for q, d in self.digests.items()}
-        except UnicodeDecodeError as exc:
-            raise CodecError("C2 digest is not hex text") from exc
-        return PuzzleAnswersC2(puzzle_id=self.puzzle_id, digests=digests)
 
 
 @_register

@@ -35,6 +35,7 @@ from __future__ import annotations
 import queue
 import socket
 import threading
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,13 +44,17 @@ from repro.proto.envelope import peek_type
 from repro.proto.messages import ErrorReply, encode_message
 from repro.serve.framing import (
     DEFAULT_MAX_FRAME_BYTES,
+    FRAME_HEADER_BYTES,
     FrameTooLargeError,
     FramingError,
-    encode_frame,
 )
 from repro.serve.transport import Connection, SocketConnection
 
 __all__ = ["ConnectionStats", "ServerMetrics", "SmartServer", "TcpSmartServer"]
+
+# Closed connections whose stats stay readable (the shutdown summary
+# lists them); older ones survive only in the server-wide totals.
+CLOSED_CONNECTIONS_KEPT = 32
 
 
 @dataclass
@@ -89,6 +94,10 @@ class ConnectionStats:
 class ServerMetrics:
     """Server-wide totals plus retained per-connection stats.
 
+    ``connections`` holds every open connection and the
+    :data:`CLOSED_CONNECTIONS_KEPT` most recently closed ones, in opening
+    order; the totals count every connection ever served.
+
     All mutation goes through methods holding ``_lock``; reading a
     snapshot (:meth:`summary`, :meth:`as_dict`) takes the same lock, so
     observers never see torn counters.
@@ -101,7 +110,11 @@ class ServerMetrics:
     bytes_in: int = 0
     bytes_out: int = 0
     error_replies: int = 0
+    max_in_flight_seen: int = field(default=0, init=False)
     connections: list[ConnectionStats] = field(default_factory=list)
+    _closed: deque[ConnectionStats] = field(
+        default_factory=deque, init=False, repr=False
+    )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def connection_opened(self, peer: str) -> ConnectionStats:
@@ -117,6 +130,10 @@ class ServerMetrics:
             stats.open = False
             stats.aborted = stats.aborted or aborted
             self.connections_open -= 1
+            self._closed.append(stats)
+            if len(self._closed) > CLOSED_CONNECTIONS_KEPT:
+                oldest = self._closed.popleft()
+                self.connections = [c for c in self.connections if c is not oldest]
 
     def frame_received(self, stats: ConnectionStats, nbytes: int) -> int:
         """Record one inbound frame; returns the connection's new
@@ -127,6 +144,7 @@ class ServerMetrics:
             stats.in_flight += 1
             if stats.in_flight > stats.max_in_flight_seen:
                 stats.max_in_flight_seen = stats.in_flight
+                self.max_in_flight_seen = max(self.max_in_flight_seen, stats.in_flight)
             self.frames_in += 1
             self.bytes_in += nbytes
             return stats.in_flight
@@ -158,9 +176,7 @@ class ServerMetrics:
                 "bytes_in": self.bytes_in,
                 "bytes_out": self.bytes_out,
                 "error_replies": self.error_replies,
-                "max_in_flight_seen": max(
-                    (c.max_in_flight_seen for c in self.connections), default=0
-                ),
+                "max_in_flight_seen": self.max_in_flight_seen,
             }
 
     def summary(self) -> str:
@@ -212,7 +228,7 @@ class SmartServer:
             thread_name_prefix="spw-dispatch",
         )
         self._conns: set[Connection] = set()
-        self._conn_threads: list[threading.Thread] = []
+        self._conn_threads: set[threading.Thread] = set()
         self._lock = threading.Lock()
         self._closed = False
 
@@ -221,17 +237,22 @@ class SmartServer:
     def spawn_connection(self, conn: Connection) -> threading.Thread:
         """Serve ``conn`` on a fresh daemon thread (in-memory transports
         and TCP accept loops both land here)."""
+
+        def serve() -> None:
+            try:
+                self.serve_connection(conn)
+            finally:
+                with self._lock:
+                    self._conn_threads.discard(thread)
+
         thread = threading.Thread(
-            target=self.serve_connection,
-            args=(conn,),
-            name="spw-conn-%s" % conn.peer,
-            daemon=True,
+            target=serve, name="spw-conn-%s" % conn.peer, daemon=True
         )
         with self._lock:
             if self._closed:
                 conn.close()
                 raise RuntimeError("server is closed")
-            self._conn_threads.append(thread)
+            self._conn_threads.add(thread)
         thread.start()
         return thread
 
@@ -318,10 +339,11 @@ class SmartServer:
                 self.metrics.dispatch_abandoned(stats)
             else:
                 try:
-                    nbytes = len(encode_frame(payload, self.max_frame_bytes))
-                    conn.send(payload)
+                    conn.send(payload)  # raises on an oversized reply
                     self.metrics.frame_sent(
-                        stats, nbytes, is_error=peek_type(payload) == ErrorReply.TYPE
+                        stats,
+                        FRAME_HEADER_BYTES + len(payload),
+                        is_error=peek_type(payload) == ErrorReply.TYPE,
                     )
                 except (FramingError, OSError):
                     conn_dead.set()

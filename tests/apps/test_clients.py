@@ -211,7 +211,7 @@ class TestAtomicShare:
 
         blobs_before = dict(dh._blobs)
         posts_before = dict(sp._posts)
-        puzzles_before = dict(app.service._puzzles)
+        puzzles_before = dict(app.service._registrations)
 
         sp.post_failure_rate = 1.0
         with pytest.raises(TransientProviderError):
@@ -219,7 +219,7 @@ class TestAtomicShare:
 
         assert dh._blobs == blobs_before
         assert sp._posts == posts_before
-        assert app.service._puzzles == puzzles_before
+        assert app.service._registrations == puzzles_before
 
     def test_c2_post_failure_rolls_back_everything(
         self, party_context, secret_object

@@ -183,7 +183,7 @@ class TestEndToEnd:
         from repro.core.construction2 import AccessGrantC2
 
         storage, service, puzzle_id, receiver, _ = setup
-        record = service._record(puzzle_id)
+        record = service._lookup(puzzle_id)
         forged_grant = AccessGrantC2(
             puzzle_id=puzzle_id,
             url=record.url,
@@ -197,7 +197,7 @@ class TestEndToEnd:
         from repro.core.construction2 import AccessGrantC2
 
         storage, service, puzzle_id, receiver, _ = setup
-        record = service._record(puzzle_id)
+        record = service._lookup(puzzle_id)
         grant = AccessGrantC2(
             puzzle_id=puzzle_id, url=record.url,
             pk_bytes=record.pk_bytes, mk_bytes=record.mk_bytes,
@@ -283,7 +283,7 @@ class TestService:
 
     def test_file_sizes_reported(self, setup):
         _, service, puzzle_id, _, ct_bytes = setup
-        record = service._record(puzzle_id)
+        record = service._lookup(puzzle_id)
         sizes = record.file_sizes()
         assert set(sizes) == {"details.txt", "pub_key", "master_key"}
         assert all(v > 0 for v in sizes.values())

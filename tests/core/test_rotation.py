@@ -178,7 +178,7 @@ class TestRotationC2:
 
         _, _, service, old_record, puzzle_id, _ = c2_world
         with pytest.raises(PuzzleParameterError):
-            install_rotation_c2(service, puzzle_id, service._record(puzzle_id))
+            install_rotation_c2(service, puzzle_id, service._lookup(puzzle_id))
 
     def test_install_requires_same_questions(
         self, c2_world, secret_object

@@ -4,21 +4,29 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
-from repro.core.construction1 import ReceiverC1, SharerC1
+from repro.core.construction1 import (
+    PuzzleAnswers,
+    PuzzleServiceC1,
+    ReceiverC1,
+    SharerC1,
+)
 from repro.core.context import Context, QAPair
-from repro.core.errors import AccessDeniedError
-from repro.core.throttle import ThrottledError, ThrottledPuzzleServiceC1
+from repro.core.errors import AccessDeniedError, UnknownPuzzleError
+from repro.core.throttle import ThrottledError
 from repro.osn.storage import StorageHost
 
+DEADLINE_S = 20.0
 
 @pytest.fixture()
 def world(party_context, secret_object):
     storage = StorageHost()
     sharer = SharerC1("s", storage)
-    service = ThrottledPuzzleServiceC1(max_failures=3)
+    service = PuzzleServiceC1(max_failures=3)
     puzzle_id = service.store_puzzle(
         sharer.upload(secret_object, party_context, k=2, n=4)
     )
@@ -43,7 +51,7 @@ class TestThrottling:
                 _attempt(service, receiver, puzzle_id, wrong, "mallory")
         with pytest.raises(ThrottledError):
             _attempt(service, receiver, puzzle_id, wrong, "mallory")
-        assert service.is_locked(puzzle_id, "mallory")
+        assert service.throttle.is_locked(puzzle_id, "mallory")
 
     def test_lockout_blocks_even_correct_answers(self, world, party_context):
         """Once locked, the budget is spent — knowing the answers later
@@ -66,9 +74,9 @@ class TestThrottling:
         for _ in range(2):
             with pytest.raises(AccessDeniedError):
                 _attempt(service, receiver, puzzle_id, wrong, "bob")
-        assert service.failures_for(puzzle_id, "bob") == 2
+        assert service.throttle.failures_for(puzzle_id, "bob") == 2
         _attempt(service, receiver, puzzle_id, party_context, "bob")
-        assert service.failures_for(puzzle_id, "bob") == 0
+        assert service.throttle.failures_for(puzzle_id, "bob") == 0
 
     def test_budgets_are_per_requester(self, world, party_context):
         _, service, puzzle_id, receiver = world
@@ -108,14 +116,14 @@ class TestThrottling:
         for _ in range(3):
             with pytest.raises(AccessDeniedError):
                 _attempt(service, receiver, puzzle_id, wrong, "mallory")
-        service.unlock(puzzle_id, "mallory")
-        assert not service.is_locked(puzzle_id, "mallory")
+        service.throttle.unlock(puzzle_id, "mallory")
+        assert not service.throttle.is_locked(puzzle_id, "mallory")
         release, _ = _attempt(service, receiver, puzzle_id, party_context, "mallory")
         assert release.url
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
-            ThrottledPuzzleServiceC1(max_failures=0)
+            PuzzleServiceC1(max_failures=0)
 
 
 class TestOnlineBruteForceDefeated:
@@ -128,7 +136,7 @@ class TestOnlineBruteForceDefeated:
         )
         storage = StorageHost()
         sharer = SharerC1("s", storage)
-        service = ThrottledPuzzleServiceC1(max_failures=4)
+        service = PuzzleServiceC1(max_failures=4)
         puzzle_id = service.store_puzzle(sharer.upload(secret_object, context, k=2, n=2))
         receiver = ReceiverC1("attacker", storage)
 
@@ -153,13 +161,12 @@ class TestOnlineBruteForceDefeated:
 class TestThrottledC2:
     @pytest.fixture()
     def c2_world(self, party_context, secret_object):
-        from repro.core.construction2 import ReceiverC2, SharerC2
-        from repro.core.throttle import ThrottledPuzzleServiceC2
+        from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
         from repro.crypto.params import TOY
 
         storage = StorageHost()
         sharer = SharerC2("s", storage, TOY)
-        service = ThrottledPuzzleServiceC2(max_failures=3)
+        service = PuzzleServiceC2(max_failures=3)
         record, _ = sharer.upload(secret_object, party_context, k=2)
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("r", storage, TOY)
@@ -180,7 +187,7 @@ class TestThrottledC2:
                 self._attempt_c2(service, receiver, puzzle_id, wrong, "mallory")
         with pytest.raises(ThrottledError):
             self._attempt_c2(service, receiver, puzzle_id, wrong, "mallory")
-        assert service.is_locked(puzzle_id, "mallory")
+        assert service.throttle.is_locked(puzzle_id, "mallory")
 
     def test_c2_success_resets_and_budgets_are_per_requester(
         self, c2_world, party_context
@@ -194,19 +201,17 @@ class TestThrottledC2:
                 self._attempt_c2(service, receiver, puzzle_id, wrong, "bob")
         grant = self._attempt_c2(service, receiver, puzzle_id, party_context, "bob")
         assert grant.url
-        assert service.failures_for(puzzle_id, "bob") == 0
+        assert service.throttle.failures_for(puzzle_id, "bob") == 0
 
     def test_both_constructions_share_the_lockout_logic(self):
-        from repro.core.throttle import (
-            GuessThrottle,
-            ThrottledPuzzleServiceC2,
-        )
+        from repro.core.construction2 import PuzzleServiceC2
+        from repro.core.throttle import GuessThrottle
 
-        c1 = ThrottledPuzzleServiceC1(max_failures=2)
-        c2 = ThrottledPuzzleServiceC2(max_failures=2)
+        c1 = PuzzleServiceC1(max_failures=2)
+        c2 = PuzzleServiceC2(max_failures=2)
         assert isinstance(c1.throttle, GuessThrottle)
         assert isinstance(c2.throttle, GuessThrottle)
-        assert c1.max_failures == c2.max_failures == 2
+        assert c1.throttle.max_failures == c2.throttle.max_failures == 2
 
 
 class TestGuessThrottle:
@@ -263,3 +268,90 @@ class TestGuessThrottle:
         throttle.unlock(3, "eve")
         throttle.check(3, "eve")
         assert throttle._budgets == {}
+
+
+class _GatedService(PuzzleServiceC1):
+    """Holds every answer check at a barrier shared with the test."""
+
+    def __init__(self, barrier: threading.Barrier, **kwargs):
+        super().__init__(**kwargs)
+        self.barrier = barrier
+        self.checked = 0
+        self._checked_lock = threading.Lock()
+
+    def _gate(self) -> None:
+        with self._checked_lock:
+            self.checked += 1
+        self.barrier.wait(timeout=DEADLINE_S)
+
+    def _release(self, answers):
+        self._gate()
+        return super()._release(answers)
+
+    def _matched_questions(self, answers):
+        self._gate()
+        return super()._matched_questions(answers)
+
+
+class TestConcurrentGuesses:
+    @pytest.mark.parametrize("verb", ["verify", "explain"])
+    def test_budget_bounds_guesses_in_flight(
+        self, verb, party_context, secret_object
+    ):
+        """Eight simultaneous wrong guesses by one requester against a
+        budget of three: exactly three reach the answer check, the rest
+        are throttled before any answer is examined.
+
+        Every guess meets at one barrier — admitted ones inside the
+        answer check, throttled ones after their rejection — so no guess
+        is settled before all eight have been admitted or turned away.
+        """
+        barrier = threading.Barrier(8)
+        storage = StorageHost()
+        service = _GatedService(barrier, max_failures=3)
+        puzzle_id = service.store_puzzle(
+            SharerC1("s", storage).upload(secret_object, party_context, k=2, n=4)
+        )
+        wrong = Context(
+            QAPair(p.question, "wrong-" + p.answer) for p in party_context
+        )
+        displayed = service.display_puzzle(puzzle_id, rng=random.Random(0))
+        answers = ReceiverC1("r", storage).answer_puzzle(displayed, wrong)
+        outcomes: list[str] = []
+
+        def guess() -> None:
+            try:
+                result = getattr(service, verb)(answers, requester="mallory")
+            except AccessDeniedError:
+                outcomes.append("denied")
+            except ThrottledError:
+                outcomes.append("throttled")
+                barrier.wait(timeout=DEADLINE_S)
+            else:
+                outcomes.append("denied" if not result.granted else "granted")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=guess) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=DEADLINE_S)
+                assert not thread.is_alive(), "a guess never returned"
+        finally:
+            sys.setswitchinterval(interval)
+        assert service.checked == 3
+        assert sorted(outcomes) == ["denied"] * 3 + ["throttled"] * 5
+        assert service.throttle.is_locked(puzzle_id, "mallory")
+        assert service.throttle.failures_for(puzzle_id, "mallory") == 3
+
+    def test_non_deny_errors_return_the_reserved_unit(self):
+        """An attempt that fails for a reason other than a deny (here an
+        unknown puzzle) is neither charged nor left holding budget."""
+        service = PuzzleServiceC1(max_failures=1)
+        unknown = PuzzleAnswers(puzzle_id=99, digests={})
+        for _ in range(3):
+            with pytest.raises(UnknownPuzzleError):
+                service.verify(unknown, requester="eve")
+        assert service.throttle._budgets == {}

@@ -206,7 +206,7 @@ class TestFlakyPuzzleService:
         _, service, puzzle = self._stored(party_context, secret_object)
         puzzle_id = service.store_puzzle(puzzle)
         assert service.puzzle_count() == 1
-        assert service.remove_puzzle(puzzle_id) is True
+        assert service.remove(puzzle_id) is True
         assert service.wrapped.puzzle_count() == 0
 
 

@@ -130,11 +130,9 @@ class TestThrottledExplain:
     unthrottled answer-probing oracle."""
 
     def build(self, max_failures):
-        from repro.core.throttle import ThrottledPuzzleServiceC1
-
         storage = StorageHost()
         sharer = SharerC1("alice", storage)
-        service = ThrottledPuzzleServiceC1(max_failures=max_failures)
+        service = PuzzleServiceC1(max_failures=max_failures)
         policy = PuzzlePolicy.from_text(DEPTH3)
         puzzle = sharer.upload_policy(
             b"obj", Context.from_mapping(ANSWERS), policy

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +11,9 @@ from repro.core.construction1 import PuzzleServiceC1, ReceiverC1, SharerC1
 from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
 from repro.core.context import Context
 from repro.core.errors import AccessDeniedError, UnknownPuzzleError
-from repro.core.throttle import ThrottledError, ThrottledPuzzleServiceC1
+from repro.core.throttle import ThrottledError
 from repro.crypto.params import TOY
+from repro.osn.faults import FlakyPuzzleService
 from repro.osn.provider import ServiceProvider
 from repro.osn.storage import StorageHost
 from repro.proto.engine import PuzzleProtocolEngine
@@ -30,6 +32,7 @@ from repro.proto.messages import (
     StoragePutReply,
     StorePuzzleRequest,
     StoreReply,
+    StoreUploadRequest,
     decode_message,
     encode_message,
 )
@@ -65,6 +68,23 @@ def call(engine, message):
     if isinstance(reply, ErrorReply):
         raise reply.to_exception()
     return reply
+
+
+def _assert_second_guess_throttled(engine, construction, puzzle_id, digests):
+    bad = AnswerSubmission(
+        construction=construction,
+        puzzle_id=puzzle_id,
+        requester="eve",
+        digests=digests,
+    )
+    with pytest.raises(AccessDeniedError):
+        call(engine, bad)
+    # Second failed guess by the same requester trips the throttle.
+    with pytest.raises(ThrottledError):
+        call(engine, bad)
+    # The budget is per requester: another name is still only denied.
+    with pytest.raises(AccessDeniedError):
+        call(engine, replace(bad, requester="mallory"))
 
 
 class TestC1Journey:
@@ -145,8 +165,6 @@ class TestC1Journey:
 class TestC2Journey:
     def test_full_share_and_access_over_the_wire(self, world, context):
         _, storage, engine, _, _ = world
-        from repro.proto.messages import StoreUploadRequest
-
         record, _ = SharerC2("alice", storage, TOY).upload(
             b"qt secret", context, 2, 3
         )
@@ -168,6 +186,18 @@ class TestC2Journey:
         assert isinstance(granted, GrantReply)
         assert receiver.access(granted.grant, context) == b"qt secret"
 
+    def test_retract(self, world, context):
+        _, storage, engine, _, _ = world
+        record, _ = SharerC2("alice", storage, TOY).upload(b"x", context, 2, 3)
+        stored = call(engine, StoreUploadRequest(record=record))
+        request = RetractPuzzleRequest(construction=2, puzzle_id=stored.puzzle_id)
+        assert call(engine, request) == RetractReply(removed=True)
+        assert call(engine, request) == RetractReply(removed=False)
+        with pytest.raises(UnknownPuzzleError):
+            call(
+                engine, DisplayPuzzleRequest(construction=2, puzzle_id=stored.puzzle_id)
+            )
+
 
 class TestErrorPaths:
     def test_wrong_answers_surface_access_denied(self, world, context):
@@ -188,21 +218,38 @@ class TestErrorPaths:
     def test_throttled_backend_receives_the_requester(self, world, context):
         provider, storage, engine, _, _ = world
         engine.register_backend(
-            1, ThrottledPuzzleServiceC1(max_failures=1, audit=provider.audit)
+            1, PuzzleServiceC1(max_failures=1, audit=provider.audit)
         )
         puzzle = SharerC1("alice", storage).upload(b"x", context, 3, 3)
         stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
-        bad = AnswerSubmission(
-            construction=1,
-            puzzle_id=stored.puzzle_id,
-            requester="eve",
-            digests={q: b"\x00" * 32 for q in puzzle.questions},
+        _assert_second_guess_throttled(
+            engine, 1, stored.puzzle_id, {q: b"\x00" * 32 for q in puzzle.questions}
         )
-        with pytest.raises(AccessDeniedError):
-            call(engine, bad)
-        # Second failed guess by the same requester trips the throttle.
-        with pytest.raises(ThrottledError):
-            call(engine, bad)
+
+    def test_throttled_c2_backend_receives_the_requester(self, world, context):
+        provider, storage, engine, _, _ = world
+        engine.register_backend(
+            2, PuzzleServiceC2(max_failures=1, audit=provider.audit)
+        )
+        record, _ = SharerC2("alice", storage, TOY).upload(b"x", context, 3, 3)
+        stored = call(engine, StoreUploadRequest(record=record))
+        _assert_second_guess_throttled(
+            engine, 2, stored.puzzle_id, {q: b"00" * 20 for q in context.questions}
+        )
+
+    def test_wrapped_throttled_backend_receives_the_requester(self, world, context):
+        """A proxy that forwards keyword arguments is enough: the engine
+        never looks behind it."""
+        provider, storage, engine, _, _ = world
+        engine.register_backend(
+            1,
+            FlakyPuzzleService(PuzzleServiceC1(max_failures=1, audit=provider.audit)),
+        )
+        puzzle = SharerC1("alice", storage).upload(b"x", context, 3, 3)
+        stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
+        _assert_second_guess_throttled(
+            engine, 1, stored.puzzle_id, {q: b"\x00" * 32 for q in puzzle.questions}
+        )
 
     def test_missing_backend_is_an_internal_error(self, context):
         provider, storage = ServiceProvider(), StorageHost()

@@ -138,7 +138,8 @@ class TestPuzzleMessages:
             requester="vec-receiver",
             digests=dict(answers.digests),
         )
-        assert round_trip(message).to_answers_c1() == answers
+        assert AnswerSubmission.from_answers(1, answers, "vec-receiver") == message
+        assert round_trip(message).to_answers() == answers
 
     def test_answer_submission_c2(self, c2_objects):
         _, _, answers, _ = c2_objects
@@ -148,14 +149,15 @@ class TestPuzzleMessages:
             requester="vec-receiver",
             digests={q: d.encode("ascii") for q, d in answers.digests.items()},
         )
-        assert round_trip(message).to_answers_c2() == answers
+        assert AnswerSubmission.from_answers(2, answers, "vec-receiver") == message
+        assert round_trip(message).to_answers() == answers
 
     def test_answer_submission_non_ascii_c2_digest_rejected(self):
         message = AnswerSubmission(
             construction=2, puzzle_id=1, requester="r", digests={"q?": b"\xff\xfe"}
         )
         with pytest.raises(CodecError):
-            round_trip(message).to_answers_c2()
+            round_trip(message).to_answers()
 
     @given(
         puzzle_id=st.integers(0, 2**32 - 1),

@@ -18,6 +18,8 @@ from repro.serve import (
     TcpSmartServer,
     TcpTransport,
 )
+from repro.serve.framing import FRAME_HEADER_BYTES
+from repro.serve.server import CLOSED_CONNECTIONS_KEPT
 
 DEADLINE_S = 20.0
 
@@ -253,3 +255,51 @@ def test_connections_are_tracked_per_peer():
     assert per_conn == [1, 2]
     assert server.metrics.frames_in == 3
     assert "connections: total=2" in server.metrics.summary()
+
+
+def test_finished_connections_leave_bounded_state():
+    """Serving many short connections keeps no finished thread and only
+    a bounded tail of closed-connection stats; the totals count all."""
+    with SmartServer(EchoDispatcher()) as server:
+        transport = InMemoryPipeTransport(server)
+        for i in range(300):
+            conn = transport.connect()
+            try:
+                conn.send(frame(b"ping %03d" % i))
+                assert conn.recv() == frame(b"ping %03d" % i)
+            finally:
+                conn.close()
+        wait_until(
+            lambda: server.metrics.connections_open == 0 and not server._conn_threads,
+            "every connection thread to finish",
+        )
+        assert len(server.metrics.connections) == CLOSED_CONNECTIONS_KEPT
+        assert server.metrics.connections_total == 300
+        # Reply bytes are counted as the frame the wire carried.
+        assert server.metrics.bytes_out == 300 * (
+            FRAME_HEADER_BYTES + len(frame(b"ping 000"))
+        )
+        summary = server.metrics.summary()
+        assert "connections: total=300 open=0" in summary
+        assert len(summary.splitlines()) == 2 + CLOSED_CONNECTIONS_KEPT
+
+
+def test_oversized_reply_tears_the_connection_down():
+    class BloatingDispatcher:
+        def dispatch(self, payload: bytes) -> bytes:
+            return seal(0x01, b"x" * 4096)
+
+    with SmartServer(BloatingDispatcher(), max_frame_bytes=1024) as server:
+        conn = InMemoryPipeTransport(server).connect()
+        try:
+            conn.send(frame(b"small request"))
+            assert conn.recv() is None  # no reply, just the hang-up
+        finally:
+            conn.close()
+        wait_until(
+            lambda: server.metrics.connections_open == 0, "the connection to close"
+        )
+    stats = server.metrics.connections[0]
+    assert stats.aborted
+    assert stats.frames_out == stats.bytes_out == 0
+    assert stats.in_flight == 0
