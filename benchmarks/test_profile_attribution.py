@@ -17,7 +17,7 @@ from repro.crypto.params import SMALL
 from repro.obs import Observability
 
 
-def _journey(construction: int, batched: bool = False) -> Observability:
+def _journey(construction: int) -> Observability:
     obs = Observability()
     platform = SocialPuzzlePlatform(params=SMALL, observability=obs)
     alice = platform.join("alice")
@@ -32,10 +32,8 @@ def _journey(construction: int, batched: bool = False) -> Observability:
     )
     share = platform.share(alice, b"attribution run", context, k=2,
                            construction=construction)
-    solve = platform.solve_batched if batched else platform.solve
-    solve(
-        bob, share, context, construction=construction,
-        rng=random.Random(7) if construction == 1 else None,
+    platform.solve(
+        bob, share, context, construction=construction, rng=random.Random(7)
     )
     return obs
 
@@ -94,14 +92,14 @@ def test_c2_attribution_report():
     assert "cpabe.decrypt" in receiver_costs
 
 
-def test_c2_batched_attribution_fused_decrypt():
+def test_c2_attribution_fused_decrypt():
     """The fused decrypt path (merged Miller loops, one final exp) must
     attribute exactly like the recursive one: all of its cost lands on
     ``cpabe.decrypt`` inside the receiver's recover span — the merged
     loop does not orphan cost or double-charge a sibling primitive."""
-    obs = _journey(construction=2, batched=True)
+    obs = _journey(construction=2)
     rows = _attribution_rows(obs)
-    _print_table("C2 batched-journey attribution (fused decrypt)", rows)
+    _print_table("C2 journey attribution (fused decrypt)", rows)
     recover_rows = [
         (primitive, cost_ms, fraction)
         for span, primitive, cost_ms, fraction in rows

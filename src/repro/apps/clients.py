@@ -19,26 +19,17 @@ local-processing / network-delay split that the paper's Figure 10 plots:
 
 from __future__ import annotations
 
+import copy
 import random
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.construction1 import (
-    DisplayedPuzzle,
-    PuzzleServiceC1,
-    ReceiverC1,
-    SharerC1,
-)
-from repro.core.construction2 import (
-    DisplayedPuzzleC2,
-    PuzzleServiceC2,
-    ReceiverC2,
-    SharerC2,
-)
+from repro.apps.roles import RolesC1, RolesC2
+from repro.core.construction1 import PuzzleServiceC1, SharerC1
+from repro.core.construction2 import PuzzleServiceC2
 from repro.core.context import Context
 from repro.core.errors import (
-    AccessDeniedError,
     PuzzleParameterError,
     ShareFailedError,
     SocialPuzzleError,
@@ -57,7 +48,6 @@ from repro.policy import Explanation, PuzzlePolicy
 from repro.proto.bus import MessageBus
 from repro.proto.client import ProtocolClient
 from repro.proto.engine import PuzzleProtocolEngine
-from repro.proto.frontends import StorageFrontend
 from repro.sim.devices import PC, DeviceProfile
 from repro.sim.timing import CostMeter, TimingBreakdown
 
@@ -132,12 +122,11 @@ _POST_BYTES = 256  # the hyperlink post placed on the sharer's profile
 class _PrefetchedStorage:
     """A storage view that answers known URLs from memory.
 
-    The access flows fetch the encrypted object *before* handing control
-    to the receiver, so the meter is sized from bytes in hand: the
-    serial flows with one storage read, the batched flows over the DH
-    wire plane (one :class:`~repro.proto.messages.BatchRequest` round
-    trip). This view lets the receiver's own ``storage.get`` consume
-    that already-transferred blob instead of paying a second fetch
+    The flows size the meter from bytes already in hand. The share flow
+    reads back what its sharer ``put`` through this view; the access
+    flow fetches the encrypted object once, *before* handing control to
+    the receiver, and preloads it here, so the receiver's own
+    ``storage.get`` consumes that blob instead of paying a second fetch
     (over a cluster, a second quorum read). Everything else forwards to
     the real storage.
     """
@@ -148,6 +137,11 @@ class _PrefetchedStorage:
 
     def preload(self, url: str, data: bytes) -> None:
         self._blobs[url] = data
+
+    def put(self, data: bytes) -> str:
+        url = self._storage.put(data)
+        self._blobs[url] = data
+        return url
 
     def get(self, url: str) -> bytes:
         data = self._blobs.get(url)
@@ -174,18 +168,17 @@ class AccessResult:
     timing: TimingBreakdown
 
 
-def _meter(device: DeviceProfile, link: NetworkLink | None) -> CostMeter:
-    return CostMeter(device, link if link is not None else device.default_link())
-
-
 class _PuzzleAppBase:
-    """Orchestration shared by both prototype applications.
+    """The share, access and explain flows, written once for both
+    prototype applications.
 
     The two implementations differ in cryptography and in what they ship
-    to the SP, but the surrounding machinery — serializing SP-bound
+    to the SP; :mod:`repro.apps.roles` hides the first behind one roles
+    object per construction, and three charge hooks (store, display,
+    access) meter the second. Everything else — serializing SP-bound
     requests onto the message bus (where spans, retries and the audit
     trail attach), the atomic publish/rollback dance, device checks and
-    the file-size model — is identical, so it lives here exactly once.
+    the file-size model — lives here exactly once.
 
     Every SP interaction travels as a wire frame through a
     :class:`~repro.proto.client.ProtocolClient` over a
@@ -204,6 +197,7 @@ class _PuzzleAppBase:
         self,
         provider: ServiceProvider,
         storage: StorageHost,
+        roles: RolesC1 | RolesC2,
         service,
         transport: SecureTransport | None = None,
         retry: RetryPolicy | None = None,
@@ -211,12 +205,12 @@ class _PuzzleAppBase:
         file_size_model: str = "actual",
         engine: PuzzleProtocolEngine | None = None,
         bus: MessageBus | None = None,
-        dh_bus: MessageBus | None = None,
     ):
         if file_size_model not in ("actual", "paper"):
             raise ValueError("file_size_model must be 'actual' or 'paper'")
         self.provider = provider
         self.storage = storage
+        self.roles = roles
         self.transport = transport
         self.retry = retry
         self.obs = obs
@@ -228,8 +222,6 @@ class _PuzzleAppBase:
             bus if bus is not None else MessageBus(self._engine, audit=provider.audit)
         )
         self.client = ProtocolClient(self.bus, retry=retry)
-        self._dh_bus = dh_bus
-        self._dh_client: ProtocolClient | None = None
         # The retract-saga write-ahead log: puzzle_id -> (phase, url).
         # ``recover_retracts`` re-drives whatever a crash left here.
         self._pending_retracts: dict[int, tuple[str, str]] = {}
@@ -239,35 +231,6 @@ class _PuzzleAppBase:
         self.retract_crash_hook: Callable[[str], None] | None = None
         self.service = service
         provider.host_service(self.SERVICE_NAME, service)
-
-    # -- the DH wire plane -------------------------------------------------------
-
-    @property
-    def dh_bus(self) -> MessageBus:
-        """The data-host wire plane, built lazily when first needed.
-
-        Deliberately a *separate* bus from the SP plane, with no audit
-        trail attached: DH traffic is exactly what the curious SP must
-        not see. A quorum cluster gets its batching frontend so member
-        gets fan across the ring; a plain host gets the generic storage
-        frontend.
-        """
-        if self._dh_bus is None:
-            if hasattr(self.storage, "ring"):
-                from repro.cluster import ClusterStorageFrontend
-
-                frontend: StorageFrontend = ClusterStorageFrontend(self.storage)
-            else:
-                frontend = StorageFrontend(self.storage)
-            self._dh_bus = MessageBus(frontend)
-        return self._dh_bus
-
-    @property
-    def dh_client(self) -> ProtocolClient:
-        """Typed client over :attr:`dh_bus` (batched share fetches)."""
-        if self._dh_client is None:
-            self._dh_client = ProtocolClient(self.dh_bus, retry=self.retry)
-        return self._dh_client
 
     # -- the construction backend ------------------------------------------------
 
@@ -414,22 +377,32 @@ class _PuzzleAppBase:
     # -- the policy plane ----------------------------------------------------------
 
     @staticmethod
-    def _resolve_policy(
+    def _share_policy(
+        context: Context,
+        k: int | None,
+        n: int | None,
         policy: "str | PuzzlePolicy | None",
-    ) -> PuzzlePolicy | None:
-        """Normalize the ``policy=`` argument of :meth:`share`.
+    ) -> PuzzlePolicy:
+        """The access structure of :meth:`share`, as one policy.
 
         A string is parsed as a policy expression; a ready-made
-        :class:`~repro.policy.PuzzlePolicy` passes through. ``None``
-        keeps the classic flat k-of-n path (a flat threshold *is* the
-        degenerate policy ``k of (q_1, ..., q_n)`` — the explicit
-        argument exists for gates the flat form cannot express).
+        :class:`~repro.policy.PuzzlePolicy` passes through. A flat ``k``
+        compiles to the degenerate policy ``k of (q_1, ..., q_n)`` over
+        the first ``n`` context questions (all of them by default), which
+        both constructions turn into the paper's flat artifact.
         """
-        if policy is None:
-            return None
+        if (policy is None) == (k is None):
+            raise PuzzleParameterError("share() needs exactly one of k= or policy=")
         if isinstance(policy, PuzzlePolicy):
             return policy
-        return PuzzlePolicy.from_text(policy)
+        if policy is not None:
+            return PuzzlePolicy.from_text(policy)
+        n = len(context) if n is None else n
+        if not 0 < n <= len(context):
+            raise PuzzleParameterError(
+                "puzzle needs 0 < n <= %d context pairs, got n=%d" % (len(context), n)
+            )
+        return PuzzlePolicy.from_k_of_n(k, context.questions[:n])
 
     def _attach_policy(
         self, puzzle_id: int, policy: PuzzlePolicy, meter: CostMeter, overhead: int
@@ -457,46 +430,24 @@ class _PuzzleAppBase:
             return PAPER_I2_FILE_SIZES[filename]
         return actual
 
+    def _session(
+        self, device: DeviceProfile, link: NetworkLink | None
+    ) -> tuple[CostMeter, int]:
+        """A fresh meter, after the secure-channel handshake when the app
+        has a transport; returns it with the per-record byte overhead."""
+        meter = CostMeter(device, link if link is not None else device.default_link())
+        overhead = self.transport.open_session(meter) if self.transport else 0
+        return meter, overhead
 
-class SocialPuzzleAppC1(_PuzzleAppBase):
-    """Implementation 1: browser JavaScript + Shamir puzzles."""
+    # -- the flows -----------------------------------------------------------------
+    #
+    # Subclasses supply the meter labels of their two crypto steps
+    # (``SHARER_CRYPTO``, ``RECOVER_CRYPTO``) and three charge hooks:
+    # ``_charge_store`` (the upload), ``_charge_display`` (the question
+    # page) and ``_charge_access`` (the SP's reply and the object).
 
-    SERVICE_NAME = "social-puzzle-c1"
-    construction = 1
-
-    def __init__(
-        self,
-        provider: ServiceProvider,
-        storage: StorageHost,
-        bls: BlsScheme | None = None,
-        transport: SecureTransport | None = None,
-        throttle_max_failures: int | None = None,
-        retry: RetryPolicy | None = None,
-        obs: Observability | None = None,
-        engine: PuzzleProtocolEngine | None = None,
-        bus: MessageBus | None = None,
-        dh_bus: MessageBus | None = None,
-    ):
-        self.bls = bls
-        super().__init__(
-            provider,
-            storage,
-            PuzzleServiceC1(
-                audit=provider.audit, max_failures=throttle_max_failures
-            ),
-            transport=transport,
-            retry=retry,
-            obs=obs,
-            engine=engine,
-            bus=bus,
-            dh_bus=dh_bus,
-        )
-        self._sharers: dict[int, SharerC1] = {}
-
-    def _sharer_for(self, user: User) -> SharerC1:
-        if user.user_id not in self._sharers:
-            self._sharers[user.user_id] = SharerC1(user.name, self.storage, bls=self.bls)
-        return self._sharers[user.user_id]
+    def _sharer(self, user: User, storage):
+        return self.roles.sharer(user.name, storage)
 
     def share(
         self,
@@ -516,51 +467,39 @@ class SocialPuzzleAppC1(_PuzzleAppBase):
         ``n`` questions drawn from ``context``) or a nested ``policy``
         expression / :class:`~repro.policy.PuzzlePolicy` — a flat ``k``
         is exactly the degenerate policy ``k of (q_1, ..., q_n)``.
-        Nested shares additionally register the canonical policy text
-        with the SP (the SharePolicy verb) so Explain can echo it.
+        Shares given ``policy=`` additionally register the canonical
+        policy text with the SP (the SharePolicy verb) so Explain can
+        echo it.
         """
-        nested = self._resolve_policy(policy)
-        if (nested is None) == (k is None):
-            raise PuzzleParameterError("share() needs exactly one of k= or policy=")
-        n = len(context) if n is None else n
+        compiled = self._share_policy(context, k, n, policy)
+        self._check_device(device)
         with ExitStack() as scope:
             root = _enter_journey(
                 self.obs,
                 scope,
-                "c1.share",
-                k=k if k is not None else nested.root_threshold,
-                n=n,
+                "c%d.share" % self.construction,
+                k=compiled.root_threshold,
+                n=len(compiled.questions),
             )
-            meter = _meter(device, link)
-            overhead = self.transport.open_session(meter) if self.transport else 0
-            sharer = self._sharer_for(user)
+            meter, overhead = self._session(device, link)
+            view = _PrefetchedStorage(self.storage)
+            sharer = self._sharer(user, view)
+            with maybe_span("sharer.crypto"), meter.measure(self.SHARER_CRYPTO):
+                artifact = self.roles.upload(sharer, obj, context, compiled)
 
-            with maybe_span("sharer.crypto"), meter.measure(
-                "sharer crypto (secret, shares, hashes, AES)"
-            ):
-                if nested is not None:
-                    puzzle = sharer.upload_policy(obj, context, nested)
-                else:
-                    puzzle = sharer.upload(obj, context, k, n)
-
-            # The encrypted blob is on the DH now. From here on the share is
-            # atomic: any failure before the profile post lands rolls back
-            # every published artifact and raises a typed error.
+            # The encrypted object is on the DH now. From here on the share
+            # is atomic: any failure before the profile post lands rolls
+            # back every published artifact and raises a typed error.
             def store() -> int:
-                encrypted_size = len(self.storage.get(puzzle.url))
-                meter.charge_upload(
-                    "store encrypted object on DH", encrypted_size + overhead
-                )
-                meter.charge_upload(
-                    "upload puzzle Z_O to SP", puzzle.byte_size() + overhead
-                )
-                puzzle_id = self.client.store_puzzle(puzzle)
-                if nested is not None:
-                    self._attach_policy(puzzle_id, nested, meter, overhead)
+                encrypted = view.get(artifact.url)  # the bytes just put
+                self._charge_store(meter, artifact, encrypted, overhead)
+                puzzle_id = self.roles.store(self.client, artifact)
+                if policy is not None:
+                    self._attach_policy(puzzle_id, compiled, meter, overhead)
                 return puzzle_id
 
             puzzle_id, post = self._publish_atomically(
-                user, puzzle.url, audience, meter, overhead, store
+                user, artifact.url, audience, meter, overhead, store
             )
             if root is not None:
                 root.set("puzzle_id", puzzle_id)
@@ -575,20 +514,22 @@ class SocialPuzzleAppC1(_PuzzleAppBase):
         link: NetworkLink | None = None,
         rng: random.Random | None = None,
     ) -> AccessResult:
-        """The receiver flow; raises AccessDeniedError below threshold."""
-        with ExitStack() as scope:
-            _enter_journey(self.obs, scope, "c1.access", puzzle_id=puzzle_id)
-            meter = _meter(device, link)
-            overhead = self.transport.open_session(meter) if self.transport else 0
-            prefetched = _PrefetchedStorage(self.storage)
-            receiver = ReceiverC1(viewer.name, prefetched, bls=self.bls)
+        """The receiver flow; raises AccessDeniedError below threshold.
 
-            displayed: DisplayedPuzzle = self.client.display_puzzle_c1(
-                puzzle_id, rng=rng
+        ``rng`` fixes the question subset a C1 display draws; C2 displays
+        every question and ignores it.
+        """
+        self._check_device(device)
+        with ExitStack() as scope:
+            _enter_journey(
+                self.obs, scope, "c%d.access" % self.construction, puzzle_id=puzzle_id
             )
-            meter.charge_download(
-                "fetch puzzle page (questions)", displayed.byte_size() + overhead
-            )
+            meter, overhead = self._session(device, link)
+            prefetched = _PrefetchedStorage(self.storage)
+            receiver = self.roles.receiver(viewer.name, prefetched)
+
+            displayed = self.roles.display(self.client, puzzle_id, rng)
+            self._charge_display(meter, displayed, overhead)
 
             with maybe_span("receiver.answer"), meter.measure(
                 "receiver crypto (hash answers)"
@@ -596,20 +537,12 @@ class SocialPuzzleAppC1(_PuzzleAppBase):
                 answers = receiver.answer_puzzle(displayed, knowledge)
             meter.charge_upload("submit hashed answers", answers.byte_size() + overhead)
 
-            release = self.client.submit_answers_c1(answers, viewer.name)
-            meter.charge_download(
-                "receive released shares + URL", release.byte_size() + overhead
-            )
-
-            encrypted = self.storage.get(release.url)
-            prefetched.preload(release.url, encrypted)
-            meter.charge_download(
-                "download encrypted object", len(encrypted) + overhead
-            )
-            with maybe_span("receiver.recover"), meter.measure(
-                "receiver crypto (unblind, interpolate, AES)"
-            ):
-                plaintext = receiver.access(release, displayed, knowledge)
+            reply = self.roles.submit(self.client, answers, viewer.name)
+            encrypted = self.storage.get(reply.url)
+            prefetched.preload(reply.url, encrypted)
+            self._charge_access(meter, reply, encrypted, overhead)
+            with maybe_span("receiver.recover"), meter.measure(self.RECOVER_CRYPTO):
+                plaintext = self.roles.recover(receiver, reply, displayed, knowledge)
             return AccessResult(plaintext=plaintext, timing=meter.report())
 
     def explain_access(
@@ -627,73 +560,87 @@ class SocialPuzzleAppC1(_PuzzleAppBase):
         explains against the shared verify budget.
         """
         with ExitStack() as scope:
-            _enter_journey(self.obs, scope, "c1.explain", puzzle_id=puzzle_id)
-            receiver = ReceiverC1(viewer.name, self.storage, bls=self.bls)
-            displayed = self.client.display_puzzle_c1(puzzle_id, rng=rng)
+            _enter_journey(
+                self.obs, scope, "c%d.explain" % self.construction, puzzle_id=puzzle_id
+            )
+            receiver = self.roles.receiver(viewer.name, self.storage)
+            displayed = self.roles.display(self.client, puzzle_id, rng)
             answers = receiver.answer_puzzle(displayed, knowledge)
-            return self.client.explain_c1(answers, viewer.name)
+            return self.roles.explain(self.client, answers, viewer.name)
 
-    def attempt_access_batched(
+
+class SocialPuzzleAppC1(_PuzzleAppBase):
+    """Implementation 1: browser JavaScript + Shamir puzzles."""
+
+    SERVICE_NAME = "social-puzzle-c1"
+    construction = 1
+    SHARER_CRYPTO = "sharer crypto (secret, shares, hashes, AES)"
+    RECOVER_CRYPTO = "receiver crypto (unblind, interpolate, AES)"
+
+    def __init__(
         self,
-        viewer: User,
-        puzzle_id: int,
-        knowledge: Context,
-        device: DeviceProfile = PC,
-        link: NetworkLink | None = None,
-        rng: random.Random | None = None,
-    ) -> AccessResult:
-        """The receiver flow with one round trip per plane after display.
+        provider: ServiceProvider,
+        storage: StorageHost,
+        bls: BlsScheme | None = None,
+        transport: SecureTransport | None = None,
+        throttle_max_failures: int | None = None,
+        retry: RetryPolicy | None = None,
+        obs: Observability | None = None,
+        engine: PuzzleProtocolEngine | None = None,
+        bus: MessageBus | None = None,
+    ):
+        super().__init__(
+            provider,
+            storage,
+            RolesC1(bls=bls),
+            PuzzleServiceC1(
+                audit=provider.audit, max_failures=throttle_max_failures
+            ),
+            transport=transport,
+            retry=retry,
+            obs=obs,
+            engine=engine,
+            bus=bus,
+        )
+        self._sharers: dict[int, SharerC1] = {}
 
-        Where :meth:`attempt_access` pays a round trip per protocol step,
-        this flow submits the answers as one SP-plane
-        :class:`~repro.proto.messages.BatchRequest` and fetches the
-        released object over the DH plane as another — the metered
-        transfers (and the cryptography) are identical, only the
-        round-trip count changes.
-        """
-        with ExitStack() as scope:
-            _enter_journey(self.obs, scope, "c1.access_batched", puzzle_id=puzzle_id)
-            meter = _meter(device, link)
-            overhead = self.transport.open_session(meter) if self.transport else 0
-            prefetched = _PrefetchedStorage(self.storage)
-            receiver = ReceiverC1(viewer.name, prefetched, bls=self.bls)
+    def _sharer(self, user: User, storage) -> SharerC1:
+        """One sharer per user, so a user who signs puzzles keeps one BLS
+        key pair; each share gets a copy bound to its storage view."""
+        if user.user_id not in self._sharers:
+            self._sharers[user.user_id] = self.roles.sharer(user.name, self.storage)
+        sharer = copy.copy(self._sharers[user.user_id])
+        sharer.storage = storage
+        return sharer
 
-            displayed: DisplayedPuzzle = self.client.display_puzzle_c1(
-                puzzle_id, rng=rng
-            )
-            meter.charge_download(
-                "fetch puzzle page (questions)", displayed.byte_size() + overhead
-            )
+    def _charge_store(self, meter: CostMeter, puzzle, encrypted, overhead) -> None:
+        meter.charge_upload("store encrypted object on DH", len(encrypted) + overhead)
+        meter.charge_upload("upload puzzle Z_O to SP", puzzle.byte_size() + overhead)
 
-            with maybe_span("receiver.answer"), meter.measure(
-                "receiver crypto (hash answers)"
-            ):
-                answers = receiver.answer_puzzle(displayed, knowledge)
-            meter.charge_upload("submit hashed answers", answers.byte_size() + overhead)
+    def _charge_display(self, meter: CostMeter, displayed, overhead) -> None:
+        meter.charge_download(
+            "fetch puzzle page (questions)", displayed.byte_size() + overhead
+        )
 
-            (release,) = self.client.submit_answers_c1_batched(
-                [answers], viewer.name
-            )
-            meter.charge_download(
-                "receive released shares + URL", release.byte_size() + overhead
-            )
-
-            (encrypted,) = self.dh_client.storage_get_many([release.url])
-            prefetched.preload(release.url, encrypted)
-            meter.charge_download("download encrypted object", len(encrypted) + overhead)
-            with maybe_span("receiver.recover"), meter.measure(
-                "receiver crypto (unblind, interpolate, AES)"
-            ):
-                plaintext = receiver.access(release, displayed, knowledge)
-            return AccessResult(plaintext=plaintext, timing=meter.report())
+    def _charge_access(self, meter: CostMeter, release, encrypted, overhead) -> None:
+        meter.charge_download(
+            "receive released shares + URL", release.byte_size() + overhead
+        )
+        meter.charge_download("download encrypted object", len(encrypted) + overhead)
 
 
 class SocialPuzzleAppC2(_PuzzleAppBase):
-    """Implementation 2: Qt client + cpabe toolkit (here: our CP-ABE)."""
+    """Implementation 2: Qt client + cpabe toolkit (here: our CP-ABE).
+
+    Its transfers are the prototype's cURL files, each sized by the
+    file-size model.
+    """
 
     SERVICE_NAME = "social-puzzle-c2"
     construction = 2
     requires_cpabe_toolkit = True
+    SHARER_CRYPTO = "sharer crypto (cpabe setup, encrypt, perturb)"
+    RECOVER_CRYPTO = "receiver crypto (reconstruct, keygen, decrypt)"
 
     def __init__(
         self,
@@ -709,14 +656,15 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
         obs: Observability | None = None,
         engine: PuzzleProtocolEngine | None = None,
         bus: MessageBus | None = None,
-        dh_bus: MessageBus | None = None,
     ):
-        self.params = params
-        self.digestmod = digestmod
-        self.legacy_unperturbed_ciphertext = legacy_unperturbed_ciphertext
         super().__init__(
             provider,
             storage,
+            RolesC2(
+                params,
+                digestmod=digestmod,
+                legacy_unperturbed_ciphertext=legacy_unperturbed_ciphertext,
+            ),
             PuzzleServiceC2(
                 audit=provider.audit,
                 digestmod=digestmod,
@@ -728,206 +676,28 @@ class SocialPuzzleAppC2(_PuzzleAppBase):
             file_size_model=file_size_model,
             engine=engine,
             bus=bus,
-            dh_bus=dh_bus,
         )
 
-    def share(
-        self,
-        user: User,
-        obj: bytes,
-        context: Context,
-        k: int | None = None,
-        n: int | None = None,
-        device: DeviceProfile = PC,
-        link: NetworkLink | None = None,
-        audience: str = "friends",
-        policy: "str | PuzzlePolicy | None" = None,
-    ) -> ShareResult:
-        """The sharer flow; ``policy=`` compiles a nested expression into
-        the CP-ABE access tree (see :meth:`SocialPuzzleAppC1.share` for
-        the flat-vs-nested contract, which is identical)."""
-        nested = self._resolve_policy(policy)
-        if (nested is None) == (k is None):
-            raise PuzzleParameterError("share() needs exactly one of k= or policy=")
-        self._check_device(device)
-        with ExitStack() as scope:
-            root = _enter_journey(
-                self.obs,
-                scope,
-                "c2.share",
-                k=k if k is not None else nested.root_threshold,
-            )
-            meter = _meter(device, link)
-            overhead = self.transport.open_session(meter) if self.transport else 0
-            sharer = SharerC2(
-                user.name,
-                self.storage,
-                self.params,
-                digestmod=self.digestmod,
-                legacy_unperturbed_ciphertext=self.legacy_unperturbed_ciphertext,
+    def _charge_store(self, meter: CostMeter, record, encrypted, overhead) -> None:
+        # Four cURL uploads, as in the prototype.
+        sizes = {**record.file_sizes(), "message.txt.cpabe": len(encrypted)}
+        for filename, actual in sizes.items():
+            meter.charge_upload(
+                "upload " + filename, self._file_size(filename, actual) + overhead
             )
 
-            with maybe_span("sharer.crypto"), meter.measure(
-                "sharer crypto (cpabe setup, encrypt, perturb)"
-            ):
-                if nested is not None:
-                    record, ct_bytes = sharer.upload_policy(obj, context, nested)
-                else:
-                    record, ct_bytes = sharer.upload(obj, context, k, n)
+    def _charge_display(self, meter: CostMeter, displayed, overhead) -> None:
+        meter.charge_download(
+            "download details.txt (questions)",
+            self._file_size("details.txt", displayed.byte_size()) + overhead,
+        )
 
-            # The ciphertext is on the DH now; publish fully or roll back.
-            def store() -> int:
-                # Four cURL uploads, as in the prototype.
-                sizes = record.file_sizes()
-                meter.charge_upload(
-                    "upload details.txt",
-                    self._file_size("details.txt", sizes["details.txt"]) + overhead,
-                )
-                meter.charge_upload(
-                    "upload pub_key",
-                    self._file_size("pub_key", sizes["pub_key"]) + overhead,
-                )
-                meter.charge_upload(
-                    "upload master_key",
-                    self._file_size("master_key", sizes["master_key"]) + overhead,
-                )
-                meter.charge_upload(
-                    "upload message.txt.cpabe",
-                    self._file_size("message.txt.cpabe", len(ct_bytes)) + overhead,
-                )
-                puzzle_id = self.client.store_upload(record)
-                if nested is not None:
-                    self._attach_policy(puzzle_id, nested, meter, overhead)
-                return puzzle_id
-
-            puzzle_id, post = self._publish_atomically(
-                user, record.url, audience, meter, overhead, store
-            )
-            if root is not None:
-                root.set("puzzle_id", puzzle_id)
-            return ShareResult(post=post, puzzle_id=puzzle_id, timing=meter.report())
-
-    def attempt_access(
-        self,
-        viewer: User,
-        puzzle_id: int,
-        knowledge: Context,
-        device: DeviceProfile = PC,
-        link: NetworkLink | None = None,
-    ) -> AccessResult:
-        self._check_device(device)
-        with ExitStack() as scope:
-            _enter_journey(self.obs, scope, "c2.access", puzzle_id=puzzle_id)
-            meter = _meter(device, link)
-            overhead = self.transport.open_session(meter) if self.transport else 0
-            prefetched = _PrefetchedStorage(self.storage)
-            receiver = ReceiverC2(
-                viewer.name, prefetched, self.params, digestmod=self.digestmod
-            )
-
-            displayed: DisplayedPuzzleC2 = self.client.display_puzzle_c2(puzzle_id)
+    def _charge_access(self, meter: CostMeter, grant, encrypted, overhead) -> None:
+        for filename, actual in (
+            ("message.txt.cpabe", len(encrypted)),
+            ("master_key", len(grant.mk_bytes)),
+            ("pub_key", len(grant.pk_bytes)),
+        ):
             meter.charge_download(
-                "download details.txt (questions)",
-                self._file_size("details.txt", displayed.byte_size()) + overhead,
+                "download " + filename, self._file_size(filename, actual) + overhead
             )
-
-            with maybe_span("receiver.answer"), meter.measure(
-                "receiver crypto (hash answers)"
-            ):
-                answers = receiver.answer_puzzle(displayed, knowledge)
-            meter.charge_upload("submit hashed answers", answers.byte_size() + overhead)
-
-            grant = self.client.submit_answers_c2(answers, viewer.name)
-
-            ct_bytes = self.storage.get(grant.url)
-            prefetched.preload(grant.url, ct_bytes)
-            meter.charge_download(
-                "download message.txt.cpabe",
-                self._file_size("message.txt.cpabe", len(ct_bytes)) + overhead,
-            )
-            meter.charge_download(
-                "download master_key",
-                self._file_size("master_key", len(grant.mk_bytes)) + overhead,
-            )
-            meter.charge_download(
-                "download pub_key",
-                self._file_size("pub_key", len(grant.pk_bytes)) + overhead,
-            )
-
-            with maybe_span("receiver.recover"), meter.measure(
-                "receiver crypto (reconstruct, keygen, decrypt)"
-            ):
-                plaintext = receiver.access(grant, knowledge)
-            return AccessResult(plaintext=plaintext, timing=meter.report())
-
-    def explain_access(
-        self,
-        viewer: User,
-        puzzle_id: int,
-        knowledge: Context,
-    ) -> Explanation:
-        """The C2 Explain flow; same contract as
-        :meth:`SocialPuzzleAppC1.explain_access`."""
-        with ExitStack() as scope:
-            _enter_journey(self.obs, scope, "c2.explain", puzzle_id=puzzle_id)
-            receiver = ReceiverC2(
-                viewer.name, self.storage, self.params, digestmod=self.digestmod
-            )
-            displayed = self.client.display_puzzle_c2(puzzle_id)
-            answers = receiver.answer_puzzle(displayed, knowledge)
-            return self.client.explain_c2(answers, viewer.name)
-
-    def attempt_access_batched(
-        self,
-        viewer: User,
-        puzzle_id: int,
-        knowledge: Context,
-        device: DeviceProfile = PC,
-        link: NetworkLink | None = None,
-    ) -> AccessResult:
-        """The receiver flow with one round trip per plane after display;
-        see :meth:`SocialPuzzleAppC1.attempt_access_batched`."""
-        self._check_device(device)
-        with ExitStack() as scope:
-            _enter_journey(self.obs, scope, "c2.access_batched", puzzle_id=puzzle_id)
-            meter = _meter(device, link)
-            overhead = self.transport.open_session(meter) if self.transport else 0
-            prefetched = _PrefetchedStorage(self.storage)
-            receiver = ReceiverC2(
-                viewer.name, prefetched, self.params, digestmod=self.digestmod
-            )
-
-            displayed: DisplayedPuzzleC2 = self.client.display_puzzle_c2(puzzle_id)
-            meter.charge_download(
-                "download details.txt (questions)",
-                self._file_size("details.txt", displayed.byte_size()) + overhead,
-            )
-
-            with maybe_span("receiver.answer"), meter.measure(
-                "receiver crypto (hash answers)"
-            ):
-                answers = receiver.answer_puzzle(displayed, knowledge)
-            meter.charge_upload("submit hashed answers", answers.byte_size() + overhead)
-
-            (grant,) = self.client.submit_answers_c2_batched([answers], viewer.name)
-
-            (ct_bytes,) = self.dh_client.storage_get_many([grant.url])
-            prefetched.preload(grant.url, ct_bytes)
-            meter.charge_download(
-                "download message.txt.cpabe",
-                self._file_size("message.txt.cpabe", len(ct_bytes)) + overhead,
-            )
-            meter.charge_download(
-                "download master_key",
-                self._file_size("master_key", len(grant.mk_bytes)) + overhead,
-            )
-            meter.charge_download(
-                "download pub_key",
-                self._file_size("pub_key", len(grant.pk_bytes)) + overhead,
-            )
-
-            with maybe_span("receiver.recover"), meter.measure(
-                "receiver crypto (reconstruct, keygen, decrypt)"
-            ):
-                plaintext = receiver.access(grant, knowledge)
-            return AccessResult(plaintext=plaintext, timing=meter.report())

@@ -38,7 +38,6 @@ from repro.osn.storage import StorageHost
 from repro.proto.bus import MessageBus
 from repro.proto.client import ProtocolClient
 from repro.proto.engine import PuzzleProtocolEngine
-from repro.proto.frontends import StorageFrontend
 from repro.sim.devices import PC, DeviceProfile
 
 __all__ = ["SocialPuzzlePlatform"]
@@ -131,14 +130,6 @@ class SocialPuzzlePlatform:
             self.provider, self.storage, storage_frontend=storage_frontend
         )
         self.bus = MessageBus(self.engine, audit=self.provider.audit)
-        # The DH wire plane: deliberately audit-free (DH traffic is what
-        # the curious SP must not see) and shared by both apps so batched
-        # fetches hit the cluster frontend when the DH is a quorum ring.
-        self.dh_bus = MessageBus(
-            storage_frontend
-            if storage_frontend is not None
-            else StorageFrontend(self.storage)
-        )
         self._client = ProtocolClient(self.bus, retry=retry_policy)
         self.app_c1 = SocialPuzzleAppC1(
             self.provider,
@@ -150,7 +141,6 @@ class SocialPuzzlePlatform:
             obs=observability,
             engine=self.engine,
             bus=self.bus,
-            dh_bus=self.dh_bus,
         )
         self.app_c2 = SocialPuzzleAppC2(
             self.provider,
@@ -164,7 +154,6 @@ class SocialPuzzlePlatform:
             obs=observability,
             engine=self.engine,
             bus=self.bus,
-            dh_bus=self.dh_bus,
         )
 
     # -- membership ---------------------------------------------------------------
@@ -223,38 +212,8 @@ class SocialPuzzlePlatform:
         access-control layers.
         """
         self._acl_gate(viewer, share)
-        app = self._app(construction)
-        if construction == 1:
-            return app.attempt_access(
-                viewer, share.puzzle_id, knowledge, device=device, link=link, rng=rng
-            )
-        return app.attempt_access(
-            viewer, share.puzzle_id, knowledge, device=device, link=link
-        )
-
-    def solve_batched(
-        self,
-        viewer: User,
-        share: ShareResult,
-        knowledge: Context,
-        construction: int = 1,
-        device: DeviceProfile = PC,
-        link: NetworkLink | None = None,
-        rng: random.Random | None = None,
-    ) -> AccessResult:
-        """Like :meth:`solve`, but after display the answer submission and
-        the object fetch each travel as ONE
-        :class:`~repro.proto.messages.BatchRequest` round trip — one on
-        the SP plane (``platform.bus``), one on the DH plane
-        (``platform.dh_bus``)."""
-        self._acl_gate(viewer, share)
-        app = self._app(construction)
-        if construction == 1:
-            return app.attempt_access_batched(
-                viewer, share.puzzle_id, knowledge, device=device, link=link, rng=rng
-            )
-        return app.attempt_access_batched(
-            viewer, share.puzzle_id, knowledge, device=device, link=link
+        return self._app(construction).attempt_access(
+            viewer, share.puzzle_id, knowledge, device=device, link=link, rng=rng
         )
 
     def explain(
@@ -270,10 +229,9 @@ class SocialPuzzlePlatform:
         The static ACL gate applies exactly as it does for
         :meth:`solve`."""
         self._acl_gate(viewer, share)
-        app = self._app(construction)
-        if construction == 1:
-            return app.explain_access(viewer, share.puzzle_id, knowledge, rng=rng)
-        return app.explain_access(viewer, share.puzzle_id, knowledge)
+        return self._app(construction).explain_access(
+            viewer, share.puzzle_id, knowledge, rng=rng
+        )
 
     def retract(
         self, user: User, share: ShareResult, construction: int = 1

@@ -242,12 +242,9 @@ def _cmd_solve(args) -> int:
     with open(args.answers) as handle:
         knowledge = Context.from_mapping(json.load(handle))
     app = platform.app_c1 if args.construction == 1 else platform.app_c2
+    rng = random.Random(args.seed) if args.seed is not None else None
     try:
-        if args.construction == 1:
-            rng = random.Random(args.seed) if args.seed is not None else None
-            result = app.attempt_access(viewer, args.puzzle, knowledge, rng=rng)
-        else:
-            result = app.attempt_access(viewer, args.puzzle, knowledge)
+        result = app.attempt_access(viewer, args.puzzle, knowledge, rng=rng)
     except AccessDeniedError as exc:
         print(f"access denied: {exc}", file=sys.stderr)
         return 1
@@ -306,7 +303,7 @@ def _cmd_demo(args) -> int:
         alice, obj, context, k=2, construction=args.construction
     )
     print(f"shared puzzle #{share.puzzle_id} (construction {args.construction})")
-    rng = random.Random(5) if args.construction == 1 else None
+    rng = random.Random(5)
     result = platform.solve(
         bob, share, context, construction=args.construction, rng=rng
     )
@@ -652,7 +649,7 @@ def _observed_journeys(args):
     )
     completed = failed = 0
     for i in range(args.journeys):
-        rng = random.Random(args.seed + i) if args.construction == 1 else None
+        rng = random.Random(args.seed + i)
         try:
             share = platform.share(
                 alice,

@@ -261,39 +261,15 @@ class SharerC1:
                 "sharing polynomial must be over the puzzle field with degree k-1"
             )
 
-        url = self.storage.put(encrypted_obj)
-        puzzle_key = secrets.token_bytes(16)
-        entries = []
-        used_x: set[int] = set()
-        for index, pair in enumerate(context.pairs[:n]):
-            while True:
-                x = secrets.randbelow(self.field.p - 1) + 1
-                if x not in used_x:
-                    used_x.add(x)
-                    break
-            share = Share(x=x, y=int(polynomial(x)))
-            answer = pair.answer_bytes()
-            entries.append(
-                PuzzleEntry(
-                    question=pair.question,
-                    answer_digest=Puzzle.response_digest(answer, puzzle_key),
-                    share_x=x,
-                    blinded_share=blind_share(
-                        share, self.field, answer, puzzle_key, index
-                    ),
-                )
-            )
-
-        puzzle = Puzzle(
-            entries=tuple(entries),
-            k=k,
-            puzzle_key=puzzle_key,
-            url=url,
-            sharer_name=self.name,
+        xs: dict[int, None] = {}  # n distinct random x, in draw order
+        while len(xs) < n:
+            xs[secrets.randbelow(self.field.p - 1) + 1] = None
+        return self._build_puzzle(
+            encrypted_obj,
+            [(pair.question, pair.answer_bytes()) for pair in context.pairs[:n]],
+            [Share(x=x, y=int(polynomial(x))) for x in xs],
+            k,
         )
-        if self.bls and self.keys:
-            puzzle = puzzle.sign(self.bls, self.keys.secret, self.keys.public)
-        return puzzle
 
     def upload_policy(
         self, obj: bytes, context: Context, policy: PuzzlePolicy
@@ -311,44 +287,53 @@ class SharerC1:
         """
         policy.require_answerable(context)
         if policy.is_flat():
-            flat_context = Context.from_mapping(
-                {q: context.answer_for(q) for q in policy.questions}
-            )
-            return self.upload(
-                obj,
-                flat_context,
-                policy.root_threshold,
-                len(policy.questions),
-            )
+            flat = context.subset(policy.questions)
+            return self.upload(obj, flat, policy.root_threshold, len(flat))
 
         secret_m = secrets.randbelow(self.field.p)
-        object_key = _object_key(secret_m)
-        encrypted = gibberish.encrypt(obj, object_key)
-        url = self.storage.put(encrypted)
+        encrypted = gibberish.encrypt(obj, _object_key(secret_m))
+        return self._build_puzzle(
+            encrypted,
+            [
+                (question, normalize_answer(context.answer_for(question)).encode())
+                for question in policy.questions
+            ],
+            share_plan(policy.tree, self.field, secret_m),
+            policy.root_threshold,
+            policy_shape=encode_shape(policy.tree),
+        )
+
+    def _build_puzzle(
+        self,
+        encrypted_obj: bytes,
+        pairs: list[tuple[str, bytes]],
+        shares: list[Share],
+        k: int,
+        policy_shape: bytes = b"",
+    ) -> Puzzle:
+        """Store O_{K_O}, draw K_Z, blind each share under its
+        (question, normalized answer) pair, then build Z_O — signed when
+        the sharer has a BLS key pair."""
+        url = self.storage.put(encrypted_obj)
         puzzle_key = secrets.token_bytes(16)
-
-        plan = share_plan(policy.tree, self.field, secret_m)
-        entries = []
-        for index, (question, share) in enumerate(zip(policy.questions, plan)):
-            answer = normalize_answer(context.answer_for(question)).encode()
-            entries.append(
-                PuzzleEntry(
-                    question=question,
-                    answer_digest=Puzzle.response_digest(answer, puzzle_key),
-                    share_x=share.x,
-                    blinded_share=blind_share(
-                        share, self.field, answer, puzzle_key, index
-                    ),
-                )
+        entries = tuple(
+            PuzzleEntry(
+                question=question,
+                answer_digest=Puzzle.response_digest(answer, puzzle_key),
+                share_x=share.x,
+                blinded_share=blind_share(
+                    share, self.field, answer, puzzle_key, index
+                ),
             )
-
+            for index, ((question, answer), share) in enumerate(zip(pairs, shares))
+        )
         puzzle = Puzzle(
-            entries=tuple(entries),
-            k=policy.root_threshold,
+            entries=entries,
+            k=k,
             puzzle_key=puzzle_key,
             url=url,
             sharer_name=self.name,
-            policy_shape=encode_shape(policy.tree),
+            policy_shape=policy_shape,
         )
         if self.bls and self.keys:
             puzzle = puzzle.sign(self.bls, self.keys.secret, self.keys.public)

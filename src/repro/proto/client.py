@@ -161,26 +161,6 @@ class ProtocolClient:
             reply.data if isinstance(reply, Message) else reply for reply in replies
         ]
 
-    def submit_answers_c1_batched(
-        self, answers_list: "list[PuzzleAnswers]", requester: str
-    ) -> list[ShareRelease]:
-        """Verify several C1 answer sets in one SP-plane round trip."""
-        submissions = [
-            AnswerSubmission.from_answers(1, answers, requester)
-            for answers in answers_list
-        ]
-        return [reply.release for reply in self.call_batch("sp.verify", submissions)]
-
-    def submit_answers_c2_batched(
-        self, answers_list: "list[PuzzleAnswersC2]", requester: str
-    ) -> list[AccessGrantC2]:
-        """Verify several C2 answer sets in one SP-plane round trip."""
-        submissions = [
-            AnswerSubmission.from_answers(2, answers, requester)
-            for answers in answers_list
-        ]
-        return [reply.grant for reply in self.call_batch("sp.verify", submissions)]
-
     # -- puzzle protocol ---------------------------------------------------------
 
     def store_puzzle(self, puzzle: Puzzle) -> int:

@@ -17,12 +17,11 @@ import random
 import threading
 from dataclasses import dataclass
 
+from repro.apps.roles import roles_for
 from repro.core.context import Context
-from repro.core.construction1 import ReceiverC1, SharerC1
-from repro.core.construction2 import ReceiverC2, SharerC2
 from repro.core.errors import AccessDeniedError
 from repro.crypto.params import get_params
-from repro.osn.provider import OsnError
+from repro.osn.provider import OsnError, User
 from repro.policy import PuzzlePolicy
 from repro.proto.client import ProtocolClient
 from repro.serve.remote import RemoteStorageHost
@@ -40,6 +39,46 @@ _CONTEXT = {
     "Who brought the cake?": "Marguerite",
     "Which song closed the night?": "Wonderwall",
 }
+
+
+class _RemoteRoles:
+    """One construction's roles over ``client``: the sharer's and the
+    receivers' crypto runs here, every SP and DH step is a round trip.
+    C1 displays draw from ``random.Random(seed)``; C2 shows every
+    question."""
+
+    def __init__(
+        self, client: ProtocolClient, construction: int, params_name: str, seed: int
+    ):
+        self.client = client
+        self.roles = roles_for(construction, get_params(params_name))
+        self.storage = RemoteStorageHost(client)
+        self.seed = seed
+
+    def share(
+        self, user: User, obj: bytes, context: Context, policy: PuzzlePolicy
+    ) -> int:
+        sharer = self.roles.sharer(user.name, self.storage)
+        return self.roles.store(
+            self.client, self.roles.upload(sharer, obj, context, policy)
+        )
+
+    def answer(self, puzzle_id: int, name: str, knowledge: Context):
+        """Display and answer: the start of every receiver journey."""
+        receiver = self.roles.receiver(name, self.storage)
+        displayed = self.roles.display(
+            self.client, puzzle_id, random.Random(self.seed)
+        )
+        return receiver, displayed, receiver.answer_puzzle(displayed, knowledge)
+
+    def solve(self, puzzle_id: int, name: str, knowledge: Context) -> bytes:
+        receiver, displayed, answers = self.answer(puzzle_id, name, knowledge)
+        reply = self.roles.submit(self.client, answers, name)
+        return self.roles.recover(receiver, reply, displayed, knowledge)
+
+    def explain(self, puzzle_id: int, name: str, knowledge: Context):
+        _, _, answers = self.answer(puzzle_id, name, knowledge)
+        return self.roles.explain(self.client, answers, name)
 
 
 @dataclass(frozen=True)
@@ -72,7 +111,7 @@ def run_remote_journey(
     exists. Returns a :class:`JourneyReport` with ``ok=True`` when both
     denial gates held.
     """
-    storage = RemoteStorageHost(client)
+    remote = _RemoteRoles(client, construction, params_name, seed)
     context = Context.from_mapping(_CONTEXT)
 
     # Accounts and the social graph, entirely over the wire.
@@ -82,16 +121,9 @@ def run_remote_journey(
     client.befriend(alice, bob)
 
     # Alice shares: client-side crypto, blob to the DH, puzzle to the SP.
-    if construction == 1:
-        sharer = SharerC1(alice.name, storage)
-        puzzle = sharer.upload(plaintext, context, k=2, n=len(context))
-        puzzle_id = client.store_puzzle(puzzle)
-    elif construction == 2:
-        sharer = SharerC2(alice.name, storage, get_params(params_name))
-        record, _ct_bytes = sharer.upload(plaintext, context, k=2)
-        puzzle_id = client.store_upload(record)
-    else:
-        raise ValueError("construction must be 1 or 2, got %r" % construction)
+    puzzle_id = remote.share(
+        alice, plaintext, context, PuzzlePolicy.from_k_of_n(2, context.questions)
+    )
     post = client.publish_post(
         alice,
         "[social-puzzle] %s shared a protected object — solve puzzle #%d"
@@ -108,18 +140,7 @@ def run_remote_journey(
 
     # Bob follows the hyperlink and solves.
     assert client.get_post(bob, post.post_id).post_id == post.post_id
-    if construction == 1:
-        receiver = ReceiverC1(bob.name, storage)
-        displayed = client.display_puzzle_c1(puzzle_id, rng=random.Random(seed))
-        answers = receiver.answer_puzzle(displayed, context)
-        release = client.submit_answers_c1(answers, bob.name)
-        recovered = receiver.access(release, displayed, context)
-    else:
-        receiver = ReceiverC2(bob.name, storage, get_params(params_name))
-        displayed = client.display_puzzle_c2(puzzle_id)
-        answers = receiver.answer_puzzle(displayed, context)
-        grant = client.submit_answers_c2(answers, bob.name)
-        recovered = receiver.access(grant, context)
+    recovered = remote.solve(puzzle_id, bob.name, context)
     if recovered != plaintext:
         raise AssertionError("recovered %r, expected %r" % (recovered, plaintext))
 
@@ -131,18 +152,8 @@ def run_remote_journey(
     )
     answers_denied = False
     try:
-        if construction == 1:
-            stranger = ReceiverC1(carol.name, storage)
-            shown = client.display_puzzle_c1(puzzle_id, rng=random.Random(seed))
-            client.submit_answers_c1(
-                stranger.answer_puzzle(shown, wrong), carol.name
-            )
-        else:
-            stranger = ReceiverC2(carol.name, storage, get_params(params_name))
-            shown = client.display_puzzle_c2(puzzle_id)
-            client.submit_answers_c2(
-                stranger.answer_puzzle(shown, wrong), carol.name
-            )
+        _, _, guesses = remote.answer(puzzle_id, carol.name, wrong)
+        remote.roles.submit(client, guesses, carol.name)
     except AccessDeniedError:
         answers_denied = True
 
@@ -209,72 +220,29 @@ def run_policy_journey(
     verb for both a grant and a deny, asserting the derivations never
     carry answer material.
     """
-    storage = RemoteStorageHost(client)
+    remote = _RemoteRoles(client, construction, params_name, seed)
     policy = PuzzlePolicy.from_text(_POLICY_TEXT)
     context = Context.from_mapping(_POLICY_CONTEXT)
 
     alice = client.register_user("p-alice")
     bob = client.register_user("p-bob")
-
-    if construction == 1:
-        sharer = SharerC1(alice.name, storage)
-        puzzle = sharer.upload_policy(plaintext, context, policy)
-        puzzle_id = client.store_puzzle(puzzle)
-    elif construction == 2:
-        sharer = SharerC2(alice.name, storage, get_params(params_name))
-        record, _ct_bytes = sharer.upload_policy(plaintext, context, policy)
-        puzzle_id = client.store_upload(record)
-    else:
-        raise ValueError("construction must be 1 or 2, got %r" % construction)
+    puzzle_id = remote.share(alice, plaintext, context, policy)
     client.share_policy(construction, puzzle_id, policy.text)
 
-    def solve(name: str, known: dict) -> bytes:
-        knowledge = Context.from_mapping(known)
-        if construction == 1:
-            receiver = ReceiverC1(name, storage)
-            displayed = client.display_puzzle_c1(puzzle_id, rng=random.Random(seed))
-            answers = receiver.answer_puzzle(displayed, knowledge)
-            release = client.submit_answers_c1(answers, name)
-            return receiver.access(release, displayed, knowledge)
-        receiver = ReceiverC2(name, storage, get_params(params_name))
-        displayed = client.display_puzzle_c2(puzzle_id)
-        answers = receiver.answer_puzzle(displayed, knowledge)
-        grant = client.submit_answers_c2(answers, name)
-        return receiver.access(grant, knowledge)
+    member = context.subset(["scope:group/trip", "ctx_a", "ctx_b"])
+    escrowed = context.subset(["scope:group/trip", "attr:escrow"])
+    outsider = context.subset(["ctx_a", "ctx_b", "ctx_c"])
 
-    def explain(name: str, known: dict):
-        knowledge = Context.from_mapping(known)
-        if construction == 1:
-            receiver = ReceiverC1(name, storage)
-            displayed = client.display_puzzle_c1(puzzle_id, rng=random.Random(seed))
-            answers = receiver.answer_puzzle(displayed, knowledge)
-            return client.explain_c1(answers, name)
-        receiver = ReceiverC2(name, storage, get_params(params_name))
-        displayed = client.display_puzzle_c2(puzzle_id)
-        answers = receiver.answer_puzzle(displayed, knowledge)
-        return client.explain_c2(answers, name)
-
-    member = {
-        "scope:group/trip": "trip-roster-secret",
-        "ctx_a": "alpha",
-        "ctx_b": "beta",
-    }
-    escrowed = {
-        "scope:group/trip": "trip-roster-secret",
-        "attr:escrow": "escrow-credential",
-    }
-    outsider = {"ctx_a": "alpha", "ctx_b": "beta", "ctx_c": "gamma"}
-
-    granted_context = solve(bob.name, member)
-    granted_escrow = solve("p-carol", escrowed)
+    granted_context = remote.solve(puzzle_id, bob.name, member)
+    granted_escrow = remote.solve(puzzle_id, "p-carol", escrowed)
     denied = False
     try:
-        solve("p-dave", outsider)
+        remote.solve(puzzle_id, "p-dave", outsider)
     except AccessDeniedError:
         denied = True
 
-    grant_exp = explain(bob.name, member)
-    deny_exp = explain("p-dave", outsider)
+    grant_exp = remote.explain(puzzle_id, bob.name, member)
+    deny_exp = remote.explain(puzzle_id, "p-dave", outsider)
     explain_grant_ok = (
         grant_exp.granted
         and set(grant_exp.satisfied_leaves())

@@ -94,10 +94,10 @@ def measure_point(
     if role == "sharer":
         timing = share.timing
     elif role == "receiver":
-        kwargs = dict(device=device, link=device.default_link())
-        if construction == 1:
-            kwargs["rng"] = _full_display_rng(n)
-        result = app.attempt_access(receiver, share.puzzle_id, context, **kwargs)
+        result = app.attempt_access(
+            receiver, share.puzzle_id, context, device=device,
+            link=device.default_link(), rng=_full_display_rng(n),
+        )
         assert result.plaintext == message
         timing = result.timing
     else:

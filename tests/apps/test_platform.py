@@ -6,10 +6,17 @@ import pytest
 
 from repro.apps.platform import SocialPuzzlePlatform
 from repro.core.context import Context
-from repro.core.errors import AccessDeniedError
+from repro.core.errors import AccessDeniedError, PuzzleParameterError
 from repro.crypto.params import TOY
 from repro.osn.provider import OsnError
 from repro.osn.storage import StorageHost
+
+
+# A nested policy over three of the party_context questions.
+_NESTED_POLICY = (
+    "'Where was the party held?' and "
+    "('Who brought the cake?' or 'Which song closed the night?')"
+)
 
 
 @pytest.fixture()
@@ -101,6 +108,23 @@ class TestSharing:
         share = platform.share(alice, secret_object, party_context, k=2)
         assert any(p.post_id == share.post.post_id for p in platform.feed(bob))
 
+    @pytest.mark.parametrize(
+        "access",
+        [{}, {"k": 2, "policy": _NESTED_POLICY}, {"k": 2, "n": 5}],
+        ids=["neither", "both", "n-beyond-context"],
+    )
+    @pytest.mark.parametrize("construction", [1, 2])
+    def test_share_parameter_errors_publish_nothing(
+        self, platform, people, party_context, secret_object, construction, access
+    ):
+        alice, _, _ = people
+        with pytest.raises(PuzzleParameterError):
+            platform.share(
+                alice, secret_object, party_context, construction=construction,
+                **access,
+            )
+        assert platform.storage.object_count() == 0
+
     def test_invalid_construction(self, platform, people, party_context, secret_object):
         alice, _, _ = people
         with pytest.raises(ValueError):
@@ -108,7 +132,36 @@ class TestSharing:
 
 
 class TestDhReads:
-    @pytest.mark.parametrize("flow", ["solve", "solve_batched"])
+    @pytest.mark.parametrize("construction", [1, 2])
+    def test_share_reads_nothing_back(
+        self, party_context, secret_object, construction
+    ):
+        """A share sizes the meter from the bytes its sharer just put, so
+        it never reads the object back from the DH."""
+        storage = _CountingStorage()
+        platform = SocialPuzzlePlatform(params=TOY, storage=storage)
+        alice = platform.join("alice")
+        share = platform.share(
+            alice, secret_object, party_context, k=2, construction=construction
+        )
+        (blob,) = storage._blobs.values()
+        upload = {1: "store encrypted object on DH", 2: "upload message.txt.cpabe"}
+        (charged,) = [
+            r.num_bytes
+            for r in share.timing.records
+            if r.label == upload[construction]
+        ]
+        assert charged == len(blob)
+        platform.share(
+            alice,
+            secret_object,
+            party_context,
+            construction=construction,
+            policy=_NESTED_POLICY,
+        )
+        assert storage.gets == 0
+
+    @pytest.mark.parametrize("flow", ["solve"])
     @pytest.mark.parametrize("construction", [1, 2])
     def test_one_object_read_per_access(
         self, party_context, secret_object, construction, flow
@@ -128,6 +181,33 @@ class TestDhReads:
         )
         assert result.plaintext == secret_object
         assert storage.gets == 1
+
+
+class TestExplain:
+    @pytest.mark.parametrize("construction", [1, 2])
+    def test_explain_names_the_failed_gate(
+        self, platform, people, party_context, secret_object, construction
+    ):
+        alice, bob, _ = people
+        share = platform.share(
+            alice,
+            secret_object,
+            party_context,
+            construction=construction,
+            policy=_NESTED_POLICY,
+        )
+        granted = platform.explain(
+            bob, share, party_context, construction=construction
+        )
+        assert granted.granted
+        partial = party_context.subset(
+            ["Who brought the cake?", "Which song closed the night?"]
+        )
+        denied = platform.explain(bob, share, partial, construction=construction)
+        assert not denied.granted
+        assert "Where was the party held?" in denied.failed_leaves()
+        with pytest.raises(AccessDeniedError):
+            platform.solve(bob, share, partial, construction=construction)
 
 
 class TestSignedPlatform:

@@ -225,9 +225,9 @@ class TestChaosC1:
         )
         objects = _run_journeys(
             platform, storage, provider, clock,
-            construction=1, journeys=10, seed=500,
+            construction=1, journeys=15, seed=500,
         )
-        assert len(objects) == 10
+        assert len(objects) == 15
         _assert_observability_hygiene(obs, objects)
         # The breaker must have actually cycled: tripped open at least
         # once, and recovered (half-open) so journeys kept succeeding.
