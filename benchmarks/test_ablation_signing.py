@@ -9,6 +9,7 @@ verification-heavy receiver role.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -21,6 +22,18 @@ from repro.osn.storage import StorageHost
 from repro.osn.workload import PaperWorkload
 
 N, K = 4, 2
+VERIFY_SAMPLES = 7
+
+
+def _median_ms(call) -> float:
+    """Median wall-clock ms of VERIFY_SAMPLES calls, each of which must
+    return a truthy result (a verify that passes)."""
+    samples = []
+    for _ in range(VERIFY_SAMPLES):
+        start = time.perf_counter()
+        assert call()
+        samples.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(samples)
 
 
 def test_signing_overhead_report():
@@ -40,9 +53,7 @@ def test_signing_overhead_report():
     )
     signed_ms = (time.perf_counter() - start) * 1e3
 
-    start = time.perf_counter()
-    assert signed_puzzle.verify_signature(bls)
-    bls_verify_ms = (time.perf_counter() - start) * 1e3
+    bls_verify_ms = _median_ms(lambda: signed_puzzle.verify_signature(bls))
 
     schnorr = SchnorrScheme(DEFAULT)
     keys = schnorr.keygen()
@@ -50,22 +61,23 @@ def test_signing_overhead_report():
     start = time.perf_counter()
     schnorr_sig = schnorr.sign(keys.secret, payload)
     schnorr_sign_ms = (time.perf_counter() - start) * 1e3
-    start = time.perf_counter()
-    assert schnorr.verify(keys.public, payload, schnorr_sig)
-    schnorr_verify_ms = (time.perf_counter() - start) * 1e3
+    schnorr_verify_ms = _median_ms(
+        lambda: schnorr.verify(keys.public, payload, schnorr_sig)
+    )
 
     print("\n=== Ablation A8 — signature countermeasure cost (160/512) ===")
     print(f"{'flow':>28} {'ms':>9}")
     print(f"{'unsigned share':>28} {unsigned_ms:>9.1f}")
     print(f"{'BLS-signed share':>28} {signed_ms:>9.1f}")
-    print(f"{'BLS verify (receiver)':>28} {bls_verify_ms:>9.1f}")
+    print(f"{'BLS verify (receiver)':>28} {bls_verify_ms:>9.1f}  median of {VERIFY_SAMPLES}")
     print(f"{'Schnorr sign':>28} {schnorr_sign_ms:>9.1f}")
-    print(f"{'Schnorr verify (receiver)':>28} {schnorr_verify_ms:>9.1f}")
+    print(f"{'Schnorr verify (receiver)':>28} {schnorr_verify_ms:>9.1f}  median of {VERIFY_SAMPLES}")
 
     # Signing costs more than not signing, obviously — pin the ratios that
     # matter: BLS verification (2 pairings) dwarfs Schnorr's (2 scalar
     # mults), which is why signature agility is worth having for mobile
-    # receivers.
+    # receivers. The verifies are compared by their medians, since one
+    # wall-clock sample of each swings with the host's load.
     assert signed_ms > unsigned_ms
     assert bls_verify_ms > 3 * schnorr_verify_ms
 

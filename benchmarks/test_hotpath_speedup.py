@@ -40,7 +40,7 @@ ROUNDS = 3
 def _world():
     abe = CPABE(SMALL)
     pk, mk = abe.setup()
-    message = abe._random_gt(pk)
+    message = abe._random_gt()
     ct = abe.encrypt_element(pk, message, TREE)
     sk = abe.keygen(pk, mk, set(ATTRIBUTES))
     return abe, pk, sk, ct, message

@@ -4,7 +4,9 @@ IEEE S&P 2007), as summarized in the paper's section III-C.
 Implemented over the from-scratch type-A symmetric pairing:
 
 * ``Setup``  -> PK = (G0, g, h = g^beta, f = g^(1/beta), e(g,g)^alpha),
-               MK = (beta, g^alpha)
+               MK = (beta, g^alpha), with fresh alpha and beta over the
+               parameter set's one generator g (hashed into G0 once, its
+               e(g,g) memoized with it)
 * ``Encrypt(PK, M, tau)`` — shares a random exponent s down the access
   tree tau with per-node polynomials; CT carries C~ = M * e(g,g)^(alpha s),
   C = h^s and per-leaf (C_y = g^(q_y(0)), C'_y = H(att(y))^(q_y(0))).
@@ -130,6 +132,17 @@ class HybridCiphertext:
         return self.header.byte_size() + len(self.body)
 
 
+# One generator of G0 per parameter set, with e(g, g). BSW07 needs a
+# generator, not a fresh one per Setup (alpha and beta stay fresh), so g
+# is hashed from a fixed input and every Setup and KEM encapsulation on
+# the parameter set shares one pairing, across CPABE instances. The
+# input starts with a byte that no UTF-8 text has, so no attribute
+# string hashes to g. Two threads that fill a cold entry at once compute
+# the same value twice, which is harmless.
+_GENERATOR_INPUT = b"\xffrepro.cpabe.generator.v1"
+_GENERATORS: dict[CurveParams, tuple[Point, Fq2]] = {}
+
+
 class CPABE:
     """A CP-ABE instance over fixed pairing parameters."""
 
@@ -140,9 +153,6 @@ class CPABE:
         # hash_to_g0 is deterministic and dominated by cofactor clearing;
         # memoize attribute points (recur across Encrypt/KeyGen calls).
         self._attr_point_cache: dict[str, Point] = {}
-        # e(g, g) per generator: Setup and every KEM encapsulation
-        # exponentiate the same fixed pairing, so pay the Miller loop once.
-        self._gt_base_cache: dict[bytes, Fq2] = {}
 
     def _attr_point(self, attribute: str) -> Point:
         point = self._attr_point_cache.get(attribute)
@@ -151,21 +161,21 @@ class CPABE:
             self._attr_point_cache[attribute] = point
         return point
 
-    def _pair_gg(self, g: Point) -> Fq2:
-        """e(g, g), memoized per generator."""
-        key = g.to_bytes()
-        element = self._gt_base_cache.get(key)
-        if element is None:
-            element = self.pairing.pair(g, g)
-            self._gt_base_cache[key] = element
-        return element
+    def _generator(self) -> tuple[Point, Fq2]:
+        """The parameter set's generator g and e(g, g), from the memo."""
+        entry = _GENERATORS.get(self.params)
+        if entry is None:
+            g = hash_to_g0(self.params, _GENERATOR_INPUT)
+            entry = (g, self.pairing.pair(g, g))
+            _GENERATORS[self.params] = entry
+        return entry
 
     # -- Setup -------------------------------------------------------------------
 
     @profiled(name="cpabe.setup")
     def setup(self) -> tuple[PublicKey, MasterKey]:
         r = self.params.r
-        g = self.params.random_g0()
+        g, e_gg = self._generator()
         alpha = secrets.randbelow(r - 1) + 1
         beta = secrets.randbelow(r - 1) + 1
         beta_inv = pow(beta, -1, r)
@@ -174,7 +184,7 @@ class CPABE:
             g=g,
             h=g * beta,
             f=g * beta_inv,
-            e_gg_alpha=self.pairing.gt_exp(self._pair_gg(g), alpha),
+            e_gg_alpha=self.pairing.gt_exp(e_gg, alpha),
         )
         mk = MasterKey(beta=beta, g_alpha=g * alpha)
         return pk, mk
@@ -427,7 +437,7 @@ class CPABE:
         """Encrypt arbitrary bytes: random GT KEM key -> HKDF -> AES-CBC
         with an encrypt-then-MAC tag, so body tampering (a malicious DH,
         section VI-B) is detected rather than silently flipping bits."""
-        kem_element = self._random_gt(pk)
+        kem_element = self._random_gt()
         header = self.encrypt_element(pk, kem_element, tree)
         key = hkdf(kem_element.to_bytes(), 32, info=b"repro.cpabe.dem")
         return HybridCiphertext(header=header, body=seal(key, payload))
@@ -439,7 +449,10 @@ class CPABE:
         key = hkdf(kem_element.to_bytes(), 32, info=b"repro.cpabe.dem")
         return unseal(key, ct.body)
 
-    def _random_gt(self, pk: PublicKey) -> Fq2:
-        """A random element of the order-r subgroup GT = <e(g, g)>."""
+    def _random_gt(self) -> Fq2:
+        """A random element of GT, the order-r subgroup of GF(q^2)*.
+
+        e(g, g) generates GT for every generator g of G0, so the
+        parameter set's memoized one serves keys made over any g."""
         exponent = secrets.randbelow(self.params.r - 1) + 1
-        return self.pairing.gt_exp(self._pair_gg(pk.g), exponent)
+        return self.pairing.gt_exp(self._generator()[1], exponent)

@@ -13,7 +13,8 @@ compiled implementation over an always-tested pure-Python reference:
   :mod:`repro.crypto.accel._compiled` (``cc -O2 -shared`` against the
   system libgmp, loaded with ctypes) covering ``modinv`` /
   ``batch_modinv``, field ``mulmod``, G0 scalar multiplication (the
-  whole Jacobian double-and-add ladder), GF(q²) exponentiation, the
+  whole Jacobian double-and-add ladder), the point lift's square root
+  (``powmod``), GF(q²) exponentiation, the
   Straus ``gt_multi_exp`` chain, the whole merged Miller loop, and the
   AES-CBC/CTR block chains (plain C over the round keys and T-tables of
   :mod:`repro.crypto.aes`; like the pure tier, T-table AES is not

@@ -111,17 +111,58 @@ int spx_modinv(const uint8_t *mod_buf, size_t width, const uint8_t *a_buf,
     return ok ? 0 : -1;
 }
 
-/* Montgomery batch inversion: one mpz_invert plus 3(n-1) multiplications.
- * Returns -1 on success; otherwise the index of the FIRST element (in
- * input order) that is zero or shares a factor with the modulus, so the
- * Python wrapper can raise the same error the pure tier raises. */
+/* Montgomery's trick in place: vals[i] <- vals[i]^-1 mod m for i < count,
+ * with one mpz_invert plus 3(count-1) multiplications.  vals must be
+ * reduced mod m; prefix holds count scratch values, inv, t and g are
+ * scratch.  Returns -1 on success; otherwise the index of the FIRST
+ * element (in input order) that is zero or shares a factor with m, with
+ * vals unchanged.  Both spx_batch_modinv and the Miller loop's slope
+ * denominators go through here, so the trick exists once. */
+static long batch_invert(mpz_t *vals, mpz_t *prefix, size_t count,
+                         const mpz_t m, mpz_t inv, mpz_t t, mpz_t g) {
+    size_t i;
+
+    if (count == 0)
+        return -1;
+    mpz_set_ui(t, 1);
+    for (i = 0; i < count; i++) {
+        if (mpz_sgn(vals[i]) == 0)
+            return (long)i;
+        mpz_mul(t, t, vals[i]);
+        mpz_mod(t, t, m);
+        mpz_set(prefix[i], t);
+    }
+    if (!mpz_invert(inv, prefix[count - 1], m)) {
+        /* Some element shares a factor with m; report the first. */
+        for (i = 0; i < count; i++) {
+            mpz_gcd(g, vals[i], m);
+            if (mpz_cmp_ui(g, 1) != 0)
+                return (long)i;
+        }
+        return -2; /* cannot happen: product not invertible, parts are */
+    }
+    for (i = count - 1; i > 0; i--) {
+        mpz_mul(t, prefix[i - 1], inv);      /* vals[i]^-1         */
+        mpz_mod(t, t, m);
+        mpz_mul(inv, inv, vals[i]);          /* prefix[i - 1]^-1   */
+        mpz_mod(inv, inv, m);
+        mpz_swap(vals[i], t);
+    }
+    mpz_swap(vals[0], inv);
+    return -1;
+}
+
+/* Montgomery batch inversion over width-byte values.  Returns -1 on
+ * success; otherwise the index of the FIRST element (in input order)
+ * that is zero or shares a factor with the modulus, so the Python
+ * wrapper can raise the same error the pure tier raises. */
 long spx_batch_modinv(const uint8_t *mod_buf, size_t width,
                       const uint8_t *values_buf, size_t count,
                       uint8_t *out_buf) {
     mpz_t m, inv, t, g;
     mpz_t *vals, *prefix;
     size_t i;
-    long bad = -1;
+    long bad;
 
     if (count == 0)
         return -1;
@@ -139,38 +180,10 @@ long spx_batch_modinv(const uint8_t *mod_buf, size_t width,
         import_be(vals[i], values_buf + i * width, width);
         mpz_mod(vals[i], vals[i], m);
     }
-    mpz_set_ui(t, 1);
-    for (i = 0; i < count && bad < 0; i++) {
-        if (mpz_sgn(vals[i]) == 0)
-            bad = (long)i;
-        else {
-            mpz_mul(t, t, vals[i]);
-            mpz_mod(t, t, m);
-            mpz_set(prefix[i], t);
-        }
-    }
-    if (bad < 0 && !mpz_invert(inv, prefix[count - 1], m)) {
-        /* Some element shares a factor with m; report the first. */
-        for (i = 0; i < count; i++) {
-            mpz_gcd(g, vals[i], m);
-            if (mpz_cmp_ui(g, 1) != 0) {
-                bad = (long)i;
-                break;
-            }
-        }
-        if (bad < 0)
-            bad = -2; /* cannot happen: product not invertible, parts are */
-    }
-    if (bad < 0) {
-        for (i = count - 1; i > 0; i--) {
-            mpz_mul(t, prefix[i - 1], inv);
-            mpz_mod(t, t, m);
-            export_be(out_buf + i * width, width, t);
-            mpz_mul(inv, inv, vals[i]);
-            mpz_mod(inv, inv, m);
-        }
-        export_be(out_buf, width, inv);
-    }
+    bad = batch_invert(vals, prefix, count, m, inv, t, g);
+    if (bad == -1)
+        for (i = 0; i < count; i++)
+            export_be(out_buf + i * width, width, vals[i]);
     for (i = 0; i < count; i++)
         mpz_clears(vals[i], prefix[i], NULL);
     free(vals);
@@ -404,6 +417,41 @@ typedef struct {
     int done;
 } miller_state;
 
+/* Fold the line through T with this slope, evaluated at phi(Q), into the
+ * state's group line product, then move T to the line's third point
+ * reflected: 2T when other_x is T's own x, T + P when it is P's. */
+static void miller_apply(miller_state *s, const mpz_t slope,
+                         const mpz_t other_x, mpz_t *line_a, mpz_t *line_b,
+                         int *line_has, const mpz_t q, mpz_t t1, mpz_t t2,
+                         mpz_t t3, mpz_t na, mpz_t nb) {
+    size_t g = (size_t)s->group;
+
+    /* line value at phi(Q): (-(slope*(xq - tx) + ty)) + yq*i */
+    mpz_sub(t1, s->xq, s->tx);
+    mpz_mul(t1, t1, slope);
+    mpz_add(t1, t1, s->ty);
+    mpz_neg(t1, t1);
+    mpz_mod(t1, t1, q);
+    if (line_has[g]) {
+        fq2_mul(na, nb, line_a[g], line_b[g], t1, s->yq, q, t2, t3);
+        mpz_swap(line_a[g], na);
+        mpz_swap(line_b[g], nb);
+    } else {
+        mpz_set(line_a[g], t1);
+        mpz_mod(line_b[g], s->yq, q);
+        line_has[g] = 1;
+    }
+    mpz_mul(t1, slope, slope);
+    mpz_sub(t1, t1, s->tx);
+    mpz_sub(t1, t1, other_x);                /* x3 = slope^2 - tx - x' */
+    mpz_mod(t1, t1, q);
+    mpz_sub(t2, s->tx, t1);
+    mpz_mul(t2, t2, slope);
+    mpz_sub(t2, t2, s->ty);
+    mpz_mod(s->ty, t2, q);
+    mpz_set(s->tx, t1);
+}
+
 /* Run every Miller loop of a pair_product in lockstep, one accumulator
  * per exponent group — the compiled twin of Pairing._merged_miller.
  *
@@ -413,30 +461,41 @@ typedef struct {
  * '0'/'1' string; the loop walks r_bits[1:], exactly like the pure
  * tier.  out_buf receives n_groups (a, b) accumulator pairs.
  *
- * The doubling-step slope uses one modular inversion per live state
- * (mpz_invert is cheap here; the pure tier batches them with Montgomery's
- * trick for the same mathematical result). Vertical chords in the
- * addition step (T == -P) mark the state done, matching the reference. */
+ * The slopes are affine, so every step needs one inverse per live
+ * state.  Like the pure tier, each doubling and each addition step
+ * inverts all of its slope denominators together with Montgomery's
+ * trick (batch_invert): one mpz_invert plus 3(n-1) multiplications,
+ * where an mpz_invert costs far more than a multiplication.  The slopes
+ * are the same field elements either way, so the accumulators equal the
+ * pure tier's.  A denominator with no inverse returns -1.  Vertical
+ * chords in the addition step (T == -P) mark the state done, matching
+ * the reference. */
 int spx_miller_merged(const uint8_t *mod_buf, size_t width,
                       const char *r_bits, const uint8_t *states_buf,
                       const int32_t *group_of, size_t n_states,
                       size_t n_groups, uint8_t *out_buf) {
     mpz_t q, slope, inv, t1, t2, t3, na, nb;
-    mpz_t *acc_a, *acc_b, *line_a, *line_b;
+    mpz_t *acc_a, *acc_b, *line_a, *line_b, *den, *prefix;
+    size_t *live;
     int *line_has;
     miller_state *st;
-    size_t i, g, bitlen;
+    size_t i, j, g, n_live, bitlen;
     size_t bi;
     int rc = 0;
 
     st = malloc(n_states * sizeof(miller_state));
+    den = malloc(n_states * sizeof(mpz_t));
+    prefix = malloc(n_states * sizeof(mpz_t));
+    live = malloc(n_states * sizeof(size_t));
     acc_a = malloc(n_groups * sizeof(mpz_t));
     acc_b = malloc(n_groups * sizeof(mpz_t));
     line_a = malloc(n_groups * sizeof(mpz_t));
     line_b = malloc(n_groups * sizeof(mpz_t));
     line_has = malloc(n_groups * sizeof(int));
-    if (!st || !acc_a || !acc_b || !line_a || !line_b || !line_has) {
-        free(st); free(acc_a); free(acc_b);
+    if (!st || !den || !prefix || !live || !acc_a || !acc_b || !line_a
+            || !line_b || !line_has) {
+        free(st); free(den); free(prefix); free(live);
+        free(acc_a); free(acc_b);
         free(line_a); free(line_b); free(line_has);
         return -2;
     }
@@ -445,7 +504,7 @@ int spx_miller_merged(const uint8_t *mod_buf, size_t width,
     for (i = 0; i < n_states; i++) {
         const uint8_t *row = states_buf + i * 6 * width;
         mpz_inits(st[i].tx, st[i].ty, st[i].px, st[i].py, st[i].xq,
-                  st[i].yq, NULL);
+                  st[i].yq, den[i], prefix[i], NULL);
         import_be(st[i].tx, row, width);
         import_be(st[i].ty, row + width, width);
         import_be(st[i].px, row + 2 * width, width);
@@ -462,53 +521,32 @@ int spx_miller_merged(const uint8_t *mod_buf, size_t width,
     }
 
     bitlen = strlen(r_bits);
-    for (bi = 1; bi < bitlen && rc == 0; bi++) {
-        /* Doubling step for every live state. */
+    for (bi = 1; bi < bitlen; bi++) {
+        /* Doubling step for every live state; denominators 2*ty. */
+        n_live = 0;
+        for (i = 0; i < n_states; i++) {
+            if (st[i].done)
+                continue;
+            mpz_mul_2exp(den[n_live], st[i].ty, 1);
+            mpz_mod(den[n_live], den[n_live], q);
+            live[n_live++] = i;
+        }
+        if (batch_invert(den, prefix, n_live, q, inv, t1, t2) != -1) {
+            rc = -1; /* odd-order point cannot double to O mid-loop */
+            break;
+        }
         for (g = 0; g < n_groups; g++)
             line_has[g] = 0;
-        for (i = 0; i < n_states; i++) {
-            miller_state *s = &st[i];
-            if (s->done)
-                continue;
-            mpz_mul_2exp(t1, s->ty, 1);          /* 2*ty */
-            mpz_mod(t1, t1, q);
-            if (!mpz_invert(inv, t1, q)) {
-                rc = -1; /* odd-order point cannot double to O mid-loop */
-                break;
-            }
+        for (j = 0; j < n_live; j++) {
+            miller_state *s = &st[live[j]];
             mpz_mul(slope, s->tx, s->tx);
             mpz_mul_ui(slope, slope, 3);
             mpz_add_ui(slope, slope, 1);         /* 3*tx^2 + 1 */
-            mpz_mul(slope, slope, inv);
+            mpz_mul(slope, slope, den[j]);
             mpz_mod(slope, slope, q);
-            /* line value at phi(Q): (-(slope*(xq - tx) + ty)) + yq*i */
-            mpz_sub(t1, s->xq, s->tx);
-            mpz_mul(t1, t1, slope);
-            mpz_add(t1, t1, s->ty);
-            mpz_neg(t1, t1);
-            mpz_mod(t1, t1, q);
-            g = (size_t)s->group;
-            if (line_has[g]) {
-                fq2_mul(na, nb, line_a[g], line_b[g], t1, s->yq, q, t2, t3);
-                mpz_swap(line_a[g], na);
-                mpz_swap(line_b[g], nb);
-            } else {
-                mpz_set(line_a[g], t1);
-                mpz_mod(line_b[g], s->yq, q);
-                line_has[g] = 1;
-            }
-            /* T = 2T */
-            mpz_mul(t1, slope, slope);
-            mpz_submul_ui(t1, s->tx, 2);         /* x3 = slope^2 - 2*tx */
-            mpz_mod(t1, t1, q);
-            mpz_sub(t2, s->tx, t1);
-            mpz_mul(t2, t2, slope);
-            mpz_sub(t2, t2, s->ty);
-            mpz_mod(s->ty, t2, q);
-            mpz_set(s->tx, t1);
+            miller_apply(s, slope, s->tx, line_a, line_b, line_has, q,
+                         t1, t2, t3, na, nb);
         }
-        if (rc != 0)
-            break;
         for (g = 0; g < n_groups; g++) {
             fq2_sqr(na, nb, acc_a[g], acc_b[g], q, t1, t2);
             mpz_swap(acc_a[g], na);
@@ -524,9 +562,9 @@ int spx_miller_merged(const uint8_t *mod_buf, size_t width,
         if (r_bits[bi] != '1')
             continue;
 
-        /* Addition step. */
-        for (g = 0; g < n_groups; g++)
-            line_has[g] = 0;
+        /* Addition step; denominators 2*ty for a tangent (T == P) and
+         * px - tx for a chord. */
+        n_live = 0;
         for (i = 0; i < n_states; i++) {
             miller_state *s = &st[i];
             if (s->done)
@@ -540,54 +578,33 @@ int spx_miller_merged(const uint8_t *mod_buf, size_t width,
                     s->done = 1;
                     continue;
                 }
-                mpz_mul_2exp(t1, s->ty, 1);      /* tangent: T == P */
-                mpz_mod(t1, t1, q);
-                if (!mpz_invert(inv, t1, q)) {
-                    rc = -1;
-                    break;
-                }
+                mpz_mul_2exp(den[n_live], s->ty, 1);
+            } else {
+                mpz_sub(den[n_live], s->px, s->tx);
+            }
+            mpz_mod(den[n_live], den[n_live], q);
+            live[n_live++] = i;
+        }
+        if (batch_invert(den, prefix, n_live, q, inv, t1, t2) != -1) {
+            rc = -1;
+            break;
+        }
+        for (g = 0; g < n_groups; g++)
+            line_has[g] = 0;
+        for (j = 0; j < n_live; j++) {
+            miller_state *s = &st[live[j]];
+            if (mpz_cmp(s->tx, s->px) == 0) {
                 mpz_mul(slope, s->tx, s->tx);
                 mpz_mul_ui(slope, slope, 3);
                 mpz_add_ui(slope, slope, 1);
             } else {
-                mpz_sub(t1, s->px, s->tx);
-                mpz_mod(t1, t1, q);
-                if (!mpz_invert(inv, t1, q)) {
-                    rc = -1;
-                    break;
-                }
                 mpz_sub(slope, s->py, s->ty);
             }
-            mpz_mul(slope, slope, inv);
+            mpz_mul(slope, slope, den[j]);
             mpz_mod(slope, slope, q);
-            mpz_sub(t1, s->xq, s->tx);
-            mpz_mul(t1, t1, slope);
-            mpz_add(t1, t1, s->ty);
-            mpz_neg(t1, t1);
-            mpz_mod(t1, t1, q);
-            g = (size_t)s->group;
-            if (line_has[g]) {
-                fq2_mul(na, nb, line_a[g], line_b[g], t1, s->yq, q, t2, t3);
-                mpz_swap(line_a[g], na);
-                mpz_swap(line_b[g], nb);
-            } else {
-                mpz_set(line_a[g], t1);
-                mpz_mod(line_b[g], s->yq, q);
-                line_has[g] = 1;
-            }
-            /* T = T + P */
-            mpz_mul(t1, slope, slope);
-            mpz_sub(t1, t1, s->tx);
-            mpz_sub(t1, t1, s->px);              /* x3 */
-            mpz_mod(t1, t1, q);
-            mpz_sub(t2, s->tx, t1);
-            mpz_mul(t2, t2, slope);
-            mpz_sub(t2, t2, s->ty);
-            mpz_mod(s->ty, t2, q);
-            mpz_set(s->tx, t1);
+            miller_apply(s, slope, s->px, line_a, line_b, line_has, q,
+                         t1, t2, t3, na, nb);
         }
-        if (rc != 0)
-            break;
         for (g = 0; g < n_groups; g++) {
             if (line_has[g]) {
                 fq2_mul(na, nb, acc_a[g], acc_b[g], line_a[g], line_b[g], q,
@@ -597,7 +614,6 @@ int spx_miller_merged(const uint8_t *mod_buf, size_t width,
             }
         }
     }
-
     if (rc == 0) {
         for (g = 0; g < n_groups; g++) {
             export_be(out_buf + g * 2 * width, width, acc_a[g]);
@@ -606,10 +622,11 @@ int spx_miller_merged(const uint8_t *mod_buf, size_t width,
     }
     for (i = 0; i < n_states; i++)
         mpz_clears(st[i].tx, st[i].ty, st[i].px, st[i].py, st[i].xq,
-                   st[i].yq, NULL);
+                   st[i].yq, den[i], prefix[i], NULL);
     for (g = 0; g < n_groups; g++)
         mpz_clears(acc_a[g], acc_b[g], line_a[g], line_b[g], NULL);
-    free(st); free(acc_a); free(acc_b);
+    free(st); free(den); free(prefix); free(live);
+    free(acc_a); free(acc_b);
     free(line_a); free(line_b); free(line_has);
     mpz_clears(q, slope, inv, t1, t2, t3, na, nb, NULL);
     return rc;

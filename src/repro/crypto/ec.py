@@ -17,12 +17,13 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.numbers import is_prime, legendre_symbol, modinv, sqrt_mod
+from repro.crypto.numbers import is_prime, modinv
 
 __all__ = ["CurveParams", "Point"]
 
 # Installed by repro.crypto.accel: the compiled kernel table (its ec_mul
-# replaces ec_mul_pure), or None on the pure tier.
+# replaces ec_mul_pure, its powmod the builtin pow in lift_x), or None on
+# the pure tier.
 _KERNELS = None
 
 
@@ -66,17 +67,21 @@ class CurveParams:
 
     def lift_x(self, x: int) -> "Point | None":
         """The curve point with this x (canonical y), or None if x^3+x is a
-        non-residue."""
-        x %= self.q
-        rhs = (x * x * x + x) % self.q
-        if rhs == 0:
-            return Point(self, x, 0)
-        if legendre_symbol(rhs, self.q) != 1:
+        non-residue.
+
+        Since q ≡ 3 (mod 4), y = rhs^((q+1)/4) is a square root of rhs
+        whenever rhs has one, so one exponentiation (the kernel's GMP
+        ``powmod`` on the compiled tier) both finds the root and, squared
+        back, decides residuosity. The canonical root is min(y, q - y).
+        """
+        q = self.q
+        x %= q
+        rhs = (x * x * x + x) % q
+        powmod = _KERNELS.powmod if _KERNELS is not None else pow
+        y = powmod(rhs, (q + 1) >> 2, q)
+        if y * y % q != rhs:
             return None
-        y = sqrt_mod(rhs, self.q)
-        if y > self.q - y:
-            y = self.q - y
-        return Point(self, x, y)
+        return Point(self, x, min(y, q - y))
 
     def random_point(self) -> "Point":
         """Uniformly random point of E(GF(q)) (any order)."""

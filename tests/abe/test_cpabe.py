@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.abe import cpabe
 from repro.abe.access_tree import AccessTree
-from repro.abe.cpabe import CPABE, AbeError, PolicyNotSatisfiedError
-from repro.crypto.params import TOY
+from repro.abe.cpabe import CPABE, AbeError, MasterKey, PolicyNotSatisfiedError, PublicKey
+from repro.abe.serialize import decode_public_key
+from repro.crypto.params import SMALL, TOY
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,61 @@ class TestSetup:
         assert abe._attr_point("pa") is point
 
 
+class TestGeneratorMemo:
+    """One generator, with one e(g, g), per parameter set: Setups on one
+    instance and shares through fresh sharers all reuse the memo entry,
+    and it does not grow."""
+
+    def test_setups_and_shares_share_one_entry(self):
+        from repro.core.construction2 import SharerC2
+        from repro.core.context import Context
+        from repro.osn.storage import StorageHost
+
+        before = set(cpabe._GENERATORS)
+        abe = CPABE(SMALL)
+        generators = {abe.setup()[0].g for _ in range(50)}
+        context = Context.from_mapping({"Where?": "Lisbon", "Who?": "Teodora"})
+        storage = StorageHost()
+        for _ in range(50):
+            sharer = SharerC2("alice", storage, SMALL)
+            record, _ = sharer.upload(b"object", context, k=1)
+            generators.add(decode_public_key(SMALL, record.pk_bytes).g)
+        assert set(cpabe._GENERATORS) - before <= {SMALL}
+        (g,) = generators
+        assert g == cpabe._GENERATORS[SMALL][0]
+        assert g.has_order_r()
+
+    def test_warm_share_runs_no_final_exponentiation(self):
+        from repro.core.construction2 import SharerC2
+        from repro.core.context import Context
+        from repro.osn.storage import StorageHost
+
+        context = Context.from_mapping({"Where?": "Lisbon", "Who?": "Teodora"})
+        SharerC2("alice", StorageHost(), SMALL).upload(b"warm", context, k=1)
+        sharer = SharerC2("alice", StorageHost(), SMALL)
+        sharer.upload(b"object", context, k=2)
+        assert sharer.abe.pairing.op_counts["final_exps"] == 0
+        assert sharer.abe.pairing.op_counts["miller_loops"] == 0
+
+    def test_no_per_instance_cache(self):
+        assert not hasattr(CPABE(TOY), "_gt_base_cache")
+
+    def test_key_from_another_generator_still_encrypts(self, abe):
+        """A public key made over a random generator, as Setup did before
+        the generator was fixed, still encrypts and decrypts: every
+        generator's e(g, g) generates the same GT."""
+        g = TOY.random_g0()
+        alpha, beta = 5, 7
+        pk = PublicKey(
+            params=TOY, g=g, h=g * beta, f=g * pow(beta, -1, TOY.r),
+            e_gg_alpha=abe.pairing.gt_exp(abe.pairing.pair(g, g), alpha),
+        )
+        mk = MasterKey(beta=beta, g_alpha=g * alpha)
+        tree = AccessTree.k_of_n(1, ["a", "b"])
+        ct = abe.encrypt_bytes(pk, b"old key", tree)
+        assert abe.decrypt_bytes(pk, abe.keygen(pk, mk, {"b"}), ct) == b"old key"
+
+
 class TestKeyGen:
     def test_g_r_blind_multiplied_once(self, abe, keys, monkeypatch):
         """g^r is shared by D and every D_j, so KeyGen computes it once:
@@ -72,7 +129,7 @@ class TestKeyGen:
         sk = abe.keygen(pk, mk, attributes)
         monkeypatch.undo()
         assert len(calls) == 2 + 2 * len(attributes)
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(2, sorted(attributes)))
         assert abe.decrypt_element(pk, sk, ct) == message
 
@@ -80,7 +137,7 @@ class TestKeyGen:
 class TestElementRoundTrip:
     def test_simple_threshold(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.k_of_n(2, ["a", "b", "c"])
         ct = abe.encrypt_element(pk, message, tree)
         sk = abe.keygen(pk, mk, {"a", "c"})
@@ -88,14 +145,14 @@ class TestElementRoundTrip:
 
     def test_single_attribute_policy(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.single("only"))
         sk = abe.keygen(pk, mk, {"only"})
         assert abe.decrypt_element(pk, sk, ct) == message
 
     def test_all_of_policy(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.all_of(["a", "b", "c"]))
         sk = abe.keygen(pk, mk, {"a", "b", "c"})
         assert abe.decrypt_element(pk, sk, ct) == message
@@ -104,7 +161,7 @@ class TestElementRoundTrip:
 
     def test_nested_policy(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.any_of(
             [AccessTree.all_of(["dept:eng", "level:senior"]),
              AccessTree.threshold(2, ["ctx:a", "ctx:b", "ctx:c"])]
@@ -120,7 +177,7 @@ class TestElementRoundTrip:
 
     def test_extra_attributes_harmless(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(1, ["x", "y"]))
         sk = abe.keygen(pk, mk, {"x", "unrelated", "another"})
         assert abe.decrypt_element(pk, sk, ct) == message
@@ -131,7 +188,7 @@ class TestElementRoundTrip:
         pk, mk = keys
         n = k + extra
         attrs = ["attr-%d" % i for i in range(n)]
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(k, attrs))
         sk = abe.keygen(pk, mk, set(attrs[:k]))
         assert abe.decrypt_element(pk, sk, ct) == message
@@ -146,7 +203,7 @@ class TestCollusionResistance:
         """CP-ABE's core guarantee: users cannot pool attributes across
         separately issued keys (each key has its own blinding r)."""
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.all_of(["a", "b"]))
         alice = abe.keygen(pk, mk, {"a"})
         bob = abe.keygen(pk, mk, {"b"})
@@ -195,7 +252,7 @@ class TestBytesHybrid:
 class TestDelegate:
     def test_delegate_subset_decrypts(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(2, ["a", "b", "c"]))
         parent = abe.keygen(pk, mk, {"a", "b", "c"})
         child = abe.delegate(pk, parent, {"a", "b"})
@@ -209,7 +266,7 @@ class TestDelegate:
 
     def test_delegated_key_still_threshold_bound(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(2, ["a", "b", "c"]))
         parent = abe.keygen(pk, mk, {"a", "b", "c"})
         child = abe.delegate(pk, parent, {"a"})
@@ -218,7 +275,7 @@ class TestDelegate:
 
     def test_chained_delegation(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(1, ["a", "b"]))
         k1 = abe.keygen(pk, mk, {"a", "b"})
         k2 = abe.delegate(pk, k1, {"a", "b"})
@@ -229,7 +286,7 @@ class TestDelegate:
 class TestWithTree:
     def test_relabeled_tree_swap(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.k_of_n(1, ["a", "b"])
         ct = abe.encrypt_element(pk, message, tree)
         renamed = tree.relabel(lambda s: "hash-of-" + s)
@@ -245,7 +302,7 @@ class TestWithTree:
     def test_shape_mismatch_rejected(self, abe, keys):
         pk, _ = keys
         ct = abe.encrypt_element(
-            pk, abe._random_gt(pk), AccessTree.k_of_n(1, ["a", "b"])
+            pk, abe._random_gt(), AccessTree.k_of_n(1, ["a", "b"])
         )
         with pytest.raises(ValueError):
             ct.with_tree(AccessTree.k_of_n(1, ["a", "b", "c"]))

@@ -89,7 +89,7 @@ class TestKeys:
 
     def test_decoded_secret_key_still_decrypts(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         ct = abe.encrypt_element(pk, message, AccessTree.k_of_n(1, ["a", "b"]))
         sk = abe.keygen(pk, mk, {"a"})
         decoded = decode_secret_key(TOY, encode_secret_key(sk))
@@ -99,7 +99,7 @@ class TestKeys:
 class TestCiphertexts:
     def test_element_ciphertext_roundtrip(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.k_of_n(2, ["a", "b", "c"])
         ct = abe.encrypt_element(pk, message, tree)
         decoded = decode_ciphertext(TOY, encode_ciphertext(ct))
@@ -117,7 +117,7 @@ class TestCiphertexts:
     def test_leaf_count_mismatch_rejected(self, abe, keys):
         pk, _ = keys
         ct = abe.encrypt_element(
-            pk, abe._random_gt(pk), AccessTree.k_of_n(1, ["a", "b"])
+            pk, abe._random_gt(), AccessTree.k_of_n(1, ["a", "b"])
         )
         data = bytearray(encode_ciphertext(ct))
         # Corrupt the embedded tree: swap it for a single-leaf tree while

@@ -122,9 +122,14 @@ class TestKernelEquivalence:
         )
 
     @pytest.mark.parametrize("params", [TOY, SMALL], ids=lambda p: p.name)
-    @pytest.mark.parametrize("layout", [[1], [3], [2, 2], [1, 2, 3]])
+    @pytest.mark.parametrize(
+        "layout", [[1], [3], [2, 2], [1, 2, 3], [1] * 5, [1] * 7]
+    )
     def test_miller_merged_matches_reference(self, backend, params, layout):
-        """Kernel output == the pure Pairing's merged loop, group by group."""
+        """Kernel output == the pure Pairing's merged loop, group by group.
+
+        ``[1] * 5`` and ``[1] * 7`` are the C2 access shapes, flat 2-of-3
+        and nested: 2k + 1 states, each in its own exponent group."""
         accel.set_tier("pure")
         pairing = pairing_mod.Pairing(params)
         rng = random.Random(sum(layout))
@@ -150,6 +155,23 @@ class TestKernelEquivalence:
     def test_miller_merged_degenerate_state_raises(self, backend):
         with pytest.raises(ZeroDivisionError):
             backend.miller_merged(TOY.q, "101", [(5, 0, 5, 1, 2, 3, 0)], 1)
+
+    @pytest.mark.parametrize("position", [0, 2, 3], ids=["first", "middle", "last"])
+    def test_miller_merged_degenerate_row_among_valid_raises(self, backend, position):
+        """A slope denominator with no inverse fails the whole batch,
+        wherever its row sits among valid ones."""
+        rng = random.Random(position)
+        base = TOY.lift_x(next(x for x in range(2, 64) if TOY.lift_x(x))) * TOY.h
+        rows = []
+        for group in range(3):
+            p = base * rng.randrange(1, TOY.r)
+            q_pt = base * rng.randrange(1, TOY.r)
+            rows.append((p.x, p.y, p.x, p.y, (-q_pt.x) % TOY.q, q_pt.y, group))
+        r_bits = bin(TOY.r)[2:]
+        assert len(backend.miller_merged(TOY.q, r_bits, rows, 3)) == 3
+        rows.insert(position, (5, 0, 5, 1, 2, 3, 0))
+        with pytest.raises(ZeroDivisionError):
+            backend.miller_merged(TOY.q, r_bits, rows, 3)
 
 
 def _affine_mul(params, x, y, k):

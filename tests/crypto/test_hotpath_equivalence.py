@@ -24,6 +24,7 @@ All randomness is seeded so a failure replays deterministically.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -33,9 +34,9 @@ from repro.abe.cpabe import CPABE
 from repro.crypto import accel
 from repro.crypto.accel import CompiledBackendUnavailable
 from repro.crypto.field import PrimeField
-from repro.crypto.numbers import batch_modinv, modinv
+from repro.crypto.numbers import batch_modinv, legendre_symbol, modinv, sqrt_mod
 from repro.crypto.pairing import Pairing
-from repro.crypto.params import TOY
+from repro.crypto.params import DEFAULT, SMALL, TOY
 from repro.crypto.polynomial import lagrange_coefficients_at_zero
 
 PAIRING = Pairing(TOY)
@@ -256,7 +257,7 @@ class TestFusedDecrypt:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fused_equals_naive_threshold(self, abe, keys, k):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.k_of_n(k, ["a", "b", "c"])
         ct = abe.encrypt_element(pk, message, tree)
         sk = abe.keygen(pk, mk, {"a", "b", "c"})
@@ -266,7 +267,7 @@ class TestFusedDecrypt:
 
     def test_fused_equals_naive_nested(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.all_of(
             [AccessTree.k_of_n(2, ["a", "b", "c"]), AccessTree.single("d")]
         )
@@ -278,13 +279,35 @@ class TestFusedDecrypt:
 
     def test_fused_uses_one_final_exponentiation(self, abe, keys):
         pk, mk = keys
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.k_of_n(3, ["a", "b", "c", "d", "e"])
         ct = abe.encrypt_element(pk, message, tree)
         sk = abe.keygen(pk, mk, {"a", "b", "c", "d", "e"})
         abe.pairing.reset_op_counts()
         assert abe.decrypt_element(pk, sk, ct) == message
         assert abe.pairing.op_counts["final_exps"] == 1
+
+
+def _lift_oracle(params, x: int) -> "tuple[int, int] | None":
+    """The point lift as first written: the Legendre symbol decides
+    residuosity, then ``sqrt_mod`` takes the root (canonical y)."""
+    q = params.q
+    x %= q
+    rhs = (x * x * x + x) % q
+    if rhs == 0:
+        return x, 0
+    if legendre_symbol(rhs, q) != 1:
+        return None
+    y = sqrt_mod(rhs, q)
+    return x, min(y, q - y)
+
+
+@functools.cache
+def _lift_cases(params) -> "tuple[list[int], list]":
+    """x = 0 and 1,000 seeded random x, with the oracle's lifts."""
+    rng = random.Random(params.q)
+    xs = [0] + [rng.randrange(params.q) for _ in range(1000)]
+    return xs, [_lift_oracle(params, x) for x in xs]
 
 
 @pytest.mark.skipif(len(TIERS) < 2, reason="compiled tier unavailable")
@@ -341,6 +364,20 @@ class TestCrossTier:
         assert pure == compiled
         assert pure[4].infinity and pure[5] == base * 2
 
+    @pytest.mark.parametrize("params", [TOY, SMALL, DEFAULT], ids=lambda p: p.name)
+    def test_lift_x_matches_oracle(self, params):
+        """One root on either tier == the Legendre-then-sqrt_mod lift, on
+        x = 0 and on residues and non-residues alike."""
+        xs, expected = _lift_cases(params)
+
+        def run():
+            return [None if p is None else (p.x, p.y) for p in map(params.lift_x, xs)]
+
+        pure, compiled = self._both_tiers(run)
+        assert pure == compiled == expected
+        assert expected[0] == (0, 0)
+        assert None in expected
+
     @pytest.mark.parametrize("seed", [65, 66])
     def test_batch_modinv_agrees(self, seed):
         rng = random.Random(seed)
@@ -351,7 +388,7 @@ class TestCrossTier:
     def test_fused_decrypt_agrees(self):
         abe = CPABE(TOY)
         pk, mk = abe.setup()
-        message = abe._random_gt(pk)
+        message = abe._random_gt()
         tree = AccessTree.k_of_n(2, ["a", "b", "c"])
         ct = abe.encrypt_element(pk, message, tree)
         sk = abe.keygen(pk, mk, {"a", "b"})

@@ -139,7 +139,7 @@ def bench_decrypt() -> dict:
     tree = AccessTree.k_of_n(K, attributes)
     abe = CPABE(SMALL)
     pk, mk = abe.setup()
-    message = abe._random_gt(pk)
+    message = abe._random_gt()
     ct = abe.encrypt_element(pk, message, tree)
     sk = abe.keygen(pk, mk, set(attributes))
 
@@ -420,7 +420,7 @@ def bench_crypto_tiers() -> dict:
     tree = AccessTree.k_of_n(K, attributes)
     abe = CPABE(SMALL)
     pk, mk = abe.setup()
-    ct = abe.encrypt_element(pk, abe._random_gt(pk), tree)
+    ct = abe.encrypt_element(pk, abe._random_gt(), tree)
     sk = abe.keygen(pk, mk, set(attributes))
 
     primitives: dict[str, dict] = {}
