@@ -24,7 +24,7 @@ from repro.core.errors import PuzzleParameterError, TamperDetectedError
 from repro.core.puzzle import Puzzle
 from repro.crypto import gibberish
 from repro.crypto.hashes import sha3_256
-from repro.util.codec import Reader, text, u32
+from repro.util.codec import TEXT, WireRecord, pair, seq, wire
 
 __all__ = ["AlbumManifest", "AlbumSharer", "AlbumReceiver"]
 
@@ -39,10 +39,10 @@ def _album_key(secret_m: int, label: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
-class AlbumManifest:
+class AlbumManifest(WireRecord):
     """Titles and storage URLs of an album's items, in upload order."""
 
-    items: tuple[tuple[str, str], ...]  # (title, url)
+    items: tuple[tuple[str, str], ...] = wire(seq(pair(TEXT, TEXT)))  # (title, url)
 
     def titles(self) -> list[str]:
         return [title for title, _ in self.items]
@@ -52,20 +52,6 @@ class AlbumManifest:
             if item_title == title:
                 return url
         raise KeyError("no album item titled %r" % title)
-
-    def to_bytes(self) -> bytes:
-        out = u32(len(self.items))
-        for title, url in self.items:
-            out += text(title) + text(url)
-        return out
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AlbumManifest":
-        reader = Reader(data)
-        count = reader.u32()
-        items = tuple((reader.text(), reader.text()) for _ in range(count))
-        reader.done()
-        return cls(items=items)
 
 
 class AlbumSharer:

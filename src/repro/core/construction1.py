@@ -47,7 +47,17 @@ from repro.crypto.shamir import Share, reconstruct_secret
 from repro.osn.storage import StorageHost
 from repro.policy.compile import encode_shape, share_plan, shape_tree, solve_shape
 from repro.policy.model import PuzzlePolicy
-from repro.util.codec import Reader, blob, text, u32
+from repro.util.codec import (
+    BLOB,
+    TEXT,
+    U32,
+    UINT256,
+    WireRecord,
+    mapping,
+    record,
+    rest,
+    wire,
+)
 
 __all__ = [
     "C1_FIELD_PRIME",
@@ -69,80 +79,39 @@ def _object_key(secret_m: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class DisplayedPuzzle:
+class DisplayedPuzzle(WireRecord):
     """What the SP shows a prospective receiver: a permuted random subset
     of r in [k, n] questions plus the puzzle key K_Z."""
 
-    puzzle_id: int
-    questions: tuple[str, ...]
-    puzzle_key: bytes
-    k: int
+    puzzle_id: int = wire(U32)
+    questions: tuple[str, ...] = wire(rest(TEXT))
+    puzzle_key: bytes = wire(BLOB)
+    k: int = wire(U32)
 
-    def to_bytes(self) -> bytes:
-        body = u32(self.puzzle_id) + u32(self.k) + blob(self.puzzle_key)
-        for question in self.questions:
-            body += text(question)
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DisplayedPuzzle":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        k = reader.u32()
-        puzzle_key = reader.blob()
-        questions = []
-        while reader.remaining():
-            questions.append(reader.text())
-        return cls(
-            puzzle_id=puzzle_id,
-            questions=tuple(questions),
-            puzzle_key=puzzle_key,
-            k=k,
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    WIRE_ORDER = ("puzzle_id", "k", "puzzle_key", "questions")
 
 
 @dataclass(frozen=True)
-class PuzzleAnswers:
+class PuzzleAnswers(WireRecord):
     """A receiver's response: keyed hashes H(a, K_Z) per question."""
 
-    puzzle_id: int
-    digests: dict[str, bytes]  # question -> H(answer, K_Z)
-
-    def to_bytes(self) -> bytes:
-        body = u32(self.puzzle_id)
-        for question, digest in self.digests.items():
-            body += text(question) + blob(digest)
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PuzzleAnswers":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        digests: dict[str, bytes] = {}
-        while reader.remaining():
-            question = reader.text()
-            digests[question] = reader.blob()
-        return cls(puzzle_id=puzzle_id, digests=digests)
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    puzzle_id: int = wire(U32)
+    # question -> H(answer, K_Z), running to the end of the body
+    digests: dict[str, bytes] = wire(mapping(TEXT, BLOB, counted=False))
 
 
 @dataclass(frozen=True)
-class ReleasedShare:
+class ReleasedShare(WireRecord):
     """One <sigma(j), a XOR d> element sent back for a correct answer."""
 
-    question: str
-    entry_index: int
-    share_x: int
-    blinded_share: bytes
+    question: str = wire(TEXT)
+    entry_index: int = wire(U32)
+    share_x: int = wire(UINT256)
+    blinded_share: bytes = wire(BLOB)
 
 
 @dataclass(frozen=True)
-class ShareRelease:
+class ShareRelease(WireRecord):
     """The SP's reply when the puzzle policy is satisfied: blinded shares
     of the correctly answered questions plus URL_O.
 
@@ -152,55 +121,13 @@ class ShareRelease:
     share-of-shares reconstruction (entry indices identify shape leaves).
     """
 
-    puzzle_id: int
-    k: int
-    url: str
-    shares: tuple[ReleasedShare, ...]
-    policy_shape: bytes = b""
+    puzzle_id: int = wire(U32)
+    k: int = wire(U32)
+    url: str = wire(TEXT)
+    shares: tuple[ReleasedShare, ...] = wire(rest(record(ReleasedShare)))
+    policy_shape: bytes = wire(BLOB, default=b"")
 
-    def to_bytes(self) -> bytes:
-        body = (
-            u32(self.puzzle_id)
-            + u32(self.k)
-            + text(self.url)
-            + blob(self.policy_shape)
-        )
-        for released in self.shares:
-            body += (
-                text(released.question)
-                + u32(released.entry_index)
-                + blob(released.share_x.to_bytes(32, "big"))
-                + blob(released.blinded_share)
-            )
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ShareRelease":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        k = reader.u32()
-        url = reader.text()
-        policy_shape = reader.blob()
-        shares = []
-        while reader.remaining():
-            shares.append(
-                ReleasedShare(
-                    question=reader.text(),
-                    entry_index=reader.u32(),
-                    share_x=int.from_bytes(reader.blob(), "big"),
-                    blinded_share=reader.blob(),
-                )
-            )
-        return cls(
-            puzzle_id=puzzle_id,
-            k=k,
-            url=url,
-            shares=tuple(shares),
-            policy_shape=policy_shape,
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    WIRE_ORDER = ("puzzle_id", "k", "url", "policy_shape", "shares")
 
 
 class SharerC1:

@@ -56,7 +56,17 @@ from repro.crypto.ec import CurveParams
 from repro.crypto.hashes import new as new_hash
 from repro.crypto.modes import IntegrityError
 from repro.osn.storage import AuditTrail, StorageHost
-from repro.util.codec import Reader, blob, text, u32
+from repro.util.codec import (
+    BLOB,
+    TEXT,
+    U32,
+    Kind,
+    WireRecord,
+    blob,
+    mapping,
+    rest,
+    wire,
+)
 
 __all__ = [
     "leaf_attribute",
@@ -154,8 +164,15 @@ def reconstruct_tree(
     return perturbed.relabel(relabel), resolved
 
 
+# The perturbed tree tau' inside a blob, in the CP-ABE artifact format.
+_TREE = Kind(
+    lambda tree: blob(encode_access_tree(tree)),
+    lambda reader: decode_access_tree(reader.blob()),
+)
+
+
 @dataclass(frozen=True)
-class C2Upload:
+class C2Upload(WireRecord):
     """What the sharer ships: tau' + PK + MK to the SP, CT' to the DH.
 
     ``file_sizes`` records the four-file split of the paper's prototype
@@ -163,12 +180,12 @@ class C2Upload:
     accounting.
     """
 
-    puzzle_id: int
-    tree_perturbed: AccessTree
-    pk_bytes: bytes
-    mk_bytes: bytes
-    url: str
-    sharer_name: str
+    puzzle_id: int = wire(U32)
+    tree_perturbed: AccessTree = wire(_TREE)
+    pk_bytes: bytes = wire(BLOB)
+    mk_bytes: bytes = wire(BLOB)
+    url: str = wire(TEXT)
+    sharer_name: str = wire(TEXT)
 
     def file_sizes(self) -> dict[str, int]:
         return {
@@ -177,121 +194,35 @@ class C2Upload:
             "master_key": len(self.mk_bytes),
         }
 
-    def to_bytes(self) -> bytes:
-        return (
-            u32(self.puzzle_id)
-            + blob(encode_access_tree(self.tree_perturbed))
-            + blob(self.pk_bytes)
-            + blob(self.mk_bytes)
-            + text(self.url)
-            + text(self.sharer_name)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "C2Upload":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        tree = decode_access_tree(reader.blob())
-        pk_bytes = reader.blob()
-        mk_bytes = reader.blob()
-        url = reader.text()
-        sharer_name = reader.text()
-        reader.done()
-        return cls(
-            puzzle_id=puzzle_id,
-            tree_perturbed=tree,
-            pk_bytes=pk_bytes,
-            mk_bytes=mk_bytes,
-            url=url,
-            sharer_name=sharer_name,
-        )
-
 
 @dataclass(frozen=True)
-class DisplayedPuzzleC2:
+class DisplayedPuzzleC2(WireRecord):
     """Questions shown by the SP (from tau')."""
 
-    puzzle_id: int
-    questions: tuple[str, ...]
-    threshold: int
+    puzzle_id: int = wire(U32)
+    questions: tuple[str, ...] = wire(rest(TEXT))
+    threshold: int = wire(U32)
 
-    def to_bytes(self) -> bytes:
-        body = u32(self.puzzle_id) + u32(self.threshold)
-        for question in self.questions:
-            body += text(question)
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DisplayedPuzzleC2":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        threshold = reader.u32()
-        questions = []
-        while reader.remaining():
-            questions.append(reader.text())
-        return cls(
-            puzzle_id=puzzle_id, questions=tuple(questions), threshold=threshold
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    WIRE_ORDER = ("puzzle_id", "threshold", "questions")
 
 
 @dataclass(frozen=True)
-class PuzzleAnswersC2:
+class PuzzleAnswersC2(WireRecord):
     """Receiver response: hex answer hashes per question."""
 
-    puzzle_id: int
-    digests: dict[str, str]  # question -> H(answer) hex
-
-    def to_bytes(self) -> bytes:
-        body = u32(self.puzzle_id)
-        for question, digest in self.digests.items():
-            body += text(question) + text(digest)
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PuzzleAnswersC2":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        digests: dict[str, str] = {}
-        while reader.remaining():
-            question = reader.text()
-            digests[question] = reader.text()
-        return cls(puzzle_id=puzzle_id, digests=digests)
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    puzzle_id: int = wire(U32)
+    # question -> H(answer) hex, running to the end of the body
+    digests: dict[str, str] = wire(mapping(TEXT, TEXT, counted=False))
 
 
 @dataclass(frozen=True)
-class AccessGrantC2:
+class AccessGrantC2(WireRecord):
     """SP reply on success: where the ciphertext lives, plus PK and MK."""
 
-    puzzle_id: int
-    url: str
-    pk_bytes: bytes
-    mk_bytes: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            u32(self.puzzle_id) + text(self.url) + blob(self.pk_bytes) + blob(self.mk_bytes)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AccessGrantC2":
-        reader = Reader(data)
-        puzzle_id = reader.u32()
-        url = reader.text()
-        pk_bytes = reader.blob()
-        mk_bytes = reader.blob()
-        reader.done()
-        return cls(
-            puzzle_id=puzzle_id, url=url, pk_bytes=pk_bytes, mk_bytes=mk_bytes
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
+    puzzle_id: int = wire(U32)
+    url: str = wire(TEXT)
+    pk_bytes: bytes = wire(BLOB)
+    mk_bytes: bytes = wire(BLOB)
 
 
 class SharerC2:

@@ -44,7 +44,17 @@ from repro.crypto.field import PrimeField
 from repro.crypto.kdf import hkdf
 from repro.crypto.mac import keyed_hash
 from repro.crypto.shamir import Share
-from repro.util.codec import Reader, blob, text, u32
+from repro.util.codec import (
+    BLOB,
+    TAIL_BLOB,
+    TEXT,
+    U32,
+    UINT256,
+    WireRecord,
+    record,
+    seq,
+    wire,
+)
 
 __all__ = ["PuzzleEntry", "Puzzle", "blind_share", "unblind_share"]
 
@@ -82,48 +92,35 @@ def unblind_share(
     return Share(x=x, y=y % field.p)
 
 
-_SHARE_X_WIDTH = 32  # the C1 field is 256-bit; fixed width keeps wire sizes stable
-
-
 @dataclass(frozen=True)
-class PuzzleEntry:
+class PuzzleEntry(WireRecord):
     """One puzzle row <q_i, H(a_i, K_Z), s_i, a_i XOR d_i>."""
 
-    question: str
-    answer_digest: bytes
-    share_x: int
-    blinded_share: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            text(self.question)
-            + blob(self.answer_digest)
-            + blob(self.share_x.to_bytes(_SHARE_X_WIDTH, "big"))
-            + blob(self.blinded_share)
-        )
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "PuzzleEntry":
-        return cls(
-            question=reader.text(),
-            answer_digest=reader.blob(),
-            share_x=int.from_bytes(reader.blob(), "big"),
-            blinded_share=reader.blob(),
-        )
+    question: str = wire(TEXT)
+    answer_digest: bytes = wire(BLOB)
+    share_x: int = wire(UINT256)  # fixed width keeps wire sizes stable
+    blinded_share: bytes = wire(BLOB)
 
 
 @dataclass(frozen=True)
-class Puzzle:
+class Puzzle(WireRecord):
     """The complete Z_O uploaded to the service provider."""
 
-    entries: tuple[PuzzleEntry, ...]
-    k: int
-    puzzle_key: bytes
-    url: str
-    sharer_name: str = ""
-    signature: bytes = b""  # BLS point encoding; empty = unsigned
-    signer_public: bytes = b""  # BLS public key point encoding
-    policy_shape: bytes = b""  # encoded gate shape; empty = flat k-of-n
+    entries: tuple[PuzzleEntry, ...] = wire(seq(record(PuzzleEntry)))
+    k: int = wire(U32)
+    puzzle_key: bytes = wire(BLOB)
+    url: str = wire(TEXT)
+    sharer_name: str = wire(TEXT, default="")
+    signature: bytes = wire(BLOB, default=b"")  # BLS point encoding; empty = unsigned
+    signer_public: bytes = wire(BLOB, default=b"")  # BLS public key point encoding
+    # Encoded gate shape; empty = flat k-of-n, and then left off the wire.
+    policy_shape: bytes = wire(TAIL_BLOB, default=b"")
+
+    # The wire and signed order, which predates the field order.
+    WIRE_ORDER = (
+        "k", "puzzle_key", "url", "sharer_name", "entries",
+        "signature", "signer_public", "policy_shape",
+    )
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -163,26 +160,16 @@ class Puzzle:
 
     # -- signatures (section VI countermeasure) --------------------------------------
 
-    def _base_payload(self) -> bytes:
-        out = u32(self.k) + blob(self.puzzle_key) + text(self.url)
-        out += text(self.sharer_name)
-        out += u32(len(self.entries))
-        for entry in self.entries:
-            out += entry.to_bytes()
-        return out
-
     def signed_payload(self) -> bytes:
-        """Every SP-tamperable component, canonically encoded.
+        """Every SP-tamperable component: the wire encoding minus the
+        signature fields.
 
         The policy shape joins the payload only when present so flat
         puzzles keep their classic signature bytes; when present it is
         covered — an SP rewriting gate thresholds is tampering exactly
         like rewriting k.
         """
-        out = self._base_payload()
-        if self.policy_shape:
-            out += blob(self.policy_shape)
-        return out
+        return self.to_bytes(omit=("signature", "signer_public"))
 
     def sign(self, scheme: BlsScheme, secret: int, public: Point) -> "Puzzle":
         signature = scheme.sign(secret, self.signed_payload())
@@ -203,42 +190,3 @@ class Puzzle:
         except ValueError:
             return False
         return scheme.verify(public, self.signed_payload(), signature)
-
-    # -- wire encoding ------------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        out = (
-            self._base_payload() + blob(self.signature) + blob(self.signer_public)
-        )
-        if self.policy_shape:
-            out += blob(self.policy_shape)
-        return out
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Puzzle":
-        reader = Reader(data)
-        k = reader.u32()
-        puzzle_key = reader.blob()
-        url = reader.text()
-        sharer_name = reader.text()
-        count = reader.u32()
-        entries = tuple(PuzzleEntry.read_from(reader) for _ in range(count))
-        signature = reader.blob()
-        signer_public = reader.blob()
-        # Optional trailing shape: absent in (and byte-compatible with)
-        # every flat puzzle ever encoded.
-        policy_shape = reader.blob() if reader.remaining() else b""
-        reader.done()
-        return cls(
-            entries=entries,
-            k=k,
-            puzzle_key=puzzle_key,
-            url=url,
-            sharer_name=sharer_name,
-            signature=signature,
-            signer_public=signer_public,
-            policy_shape=policy_shape,
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())

@@ -23,8 +23,21 @@ from typing import Iterable
 
 from repro.obs.runtime import count, maybe_span
 from repro.osn.storage import AuditTrail
+from repro.util.codec import (
+    TEXT,
+    U32,
+    CodecError,
+    Kind,
+    Reader,
+    WireRecord,
+    record,
+    text,
+    u8,
+    u32,
+    wire,
+)
 
-__all__ = ["User", "Post", "ServiceProvider", "OsnError"]
+__all__ = ["User", "Post", "AUDIENCE", "ServiceProvider", "OsnError"]
 
 
 class OsnError(ValueError):
@@ -32,25 +45,55 @@ class OsnError(ValueError):
 
 
 @dataclass(frozen=True)
-class User:
+class User(WireRecord):
     """A registered account."""
 
-    user_id: int
-    name: str
+    user_id: int = wire(U32)
+    name: str = wire(TEXT)
 
     def __str__(self) -> str:
         return f"{self.name}#{self.user_id}"
 
 
+def _write_audience(audience: str | frozenset[int]) -> bytes:
+    if audience == "friends":
+        return u8(0)
+    if audience == "public":
+        return u8(1)
+    if isinstance(audience, str):
+        # An invalid audience string is still representable — the
+        # provider, not the codec, owns that validation.
+        return u8(3) + text(audience)
+    members = sorted(audience)
+    return u8(2) + u32(len(members)) + b"".join(u32(uid) for uid in members)
+
+
+def _read_audience(reader: Reader) -> str | frozenset[int]:
+    tag = reader.u8()
+    if tag == 0:
+        return "friends"
+    if tag == 1:
+        return "public"
+    if tag == 2:
+        return frozenset(reader.u32() for _ in range(reader.u32()))
+    if tag == 3:
+        return reader.text()
+    raise CodecError("unknown audience tag %d" % tag)
+
+
+# A tagged union: friends, public, a sorted id list, or any other string.
+AUDIENCE = Kind(_write_audience, _read_audience)
+
+
 @dataclass(frozen=True)
-class Post:
+class Post(WireRecord):
     """A feed item. ``audience`` is 'friends', 'public' or a frozenset of
     user ids (a custom ACL, Facebook-style)."""
 
-    post_id: int
-    author: User
-    content: str
-    audience: str | frozenset[int] = "friends"
+    post_id: int = wire(U32)
+    author: User = wire(record(User))
+    content: str = wire(TEXT)
+    audience: str | frozenset[int] = wire(AUDIENCE, default="friends")
 
 
 @dataclass

@@ -14,7 +14,7 @@ gates passed. That is exactly the information an auditor needs to answer
   explanations for both outcomes and asserts the absence of answer
   material byte-for-byte.
 
-Explanations have a wire codec so the SP can serve them over the
+Explanations declare their wire fields so the SP can serve them over the
 ``Explain`` verb (:mod:`repro.proto.messages`), and a human rendering::
 
     deny (scope:group/trip and (2 of (ctx_a, ctx_b, ctx_c) or attr:escrow))
@@ -35,13 +35,31 @@ from typing import Iterable
 
 from repro.abe.access_tree import AccessTree, AttributeLeaf, Node, ThresholdGate
 from repro.abe.policy import format_policy
-from repro.util.codec import Reader, blob, text, u8, u32
+from repro.util.codec import (
+    BOOL,
+    TEXT,
+    U8,
+    U32,
+    Kind,
+    WireRecord,
+    record,
+    seq,
+    u8,
+    wire,
+)
 
 __all__ = ["NodeTrace", "Explanation", "explain_tree"]
 
 
+# ``NodeTrace.kind`` as one byte: 1 for a gate, 0 for a leaf.
+_NODE_KIND = Kind(
+    lambda kind: u8(1 if kind == "gate" else 0),
+    lambda reader: "gate" if reader.u8() else "leaf",
+)
+
+
 @dataclass(frozen=True)
-class NodeTrace:
+class NodeTrace(WireRecord):
     """One node of the derivation, addressed by its path from the root.
 
     ``path`` is dotted child positions (root = ``"0"``, its second child
@@ -51,13 +69,13 @@ class NodeTrace:
     threshold is 1. ``passed`` is the node's own verdict.
     """
 
-    path: str
-    kind: str
-    label: str  # question for leaves, connective ("and"/"or"/"k of n") for gates
-    threshold: int
-    child_count: int
-    satisfied: int
-    passed: bool
+    path: str = wire(TEXT)
+    kind: str = wire(_NODE_KIND)
+    label: str = wire(TEXT)  # question for leaves, connective ("and"/"or"/"k of n") for gates
+    threshold: int = wire(U32)
+    child_count: int = wire(U32)
+    satisfied: int = wire(U32)
+    passed: bool = wire(BOOL)
 
     @property
     def depth(self) -> int:
@@ -65,14 +83,14 @@ class NodeTrace:
 
 
 @dataclass(frozen=True)
-class Explanation:
+class Explanation(WireRecord):
     """The full grant/deny derivation for one verification attempt."""
 
-    construction: int
-    puzzle_id: int
-    granted: bool
-    policy_text: str
-    nodes: tuple[NodeTrace, ...]
+    construction: int = wire(U8)
+    puzzle_id: int = wire(U32)
+    granted: bool = wire(BOOL)
+    policy_text: str = wire(TEXT)
+    nodes: tuple[NodeTrace, ...] = wire(seq(record(NodeTrace)))
 
     def satisfied_leaves(self) -> tuple[str, ...]:
         """Questions the viewer proved, in policy leaf order."""
@@ -106,61 +124,6 @@ class Explanation:
             )
             lines.append("%s%s %s" % ("  " * (node.depth + 1), mark, detail))
         return "\n".join(lines)
-
-    # -- wire codec ------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        body = (
-            u8(self.construction)
-            + u32(self.puzzle_id)
-            + u8(int(self.granted))
-            + text(self.policy_text)
-            + u32(len(self.nodes))
-        )
-        for node in self.nodes:
-            body += (
-                text(node.path)
-                + u8(1 if node.kind == "gate" else 0)
-                + text(node.label)
-                + u32(node.threshold)
-                + u32(node.child_count)
-                + u32(node.satisfied)
-                + u8(int(node.passed))
-            )
-        return body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Explanation":
-        reader = Reader(data)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        granted = bool(reader.u8())
-        policy_text = reader.text()
-        count = reader.u32()
-        nodes = []
-        for _ in range(count):
-            nodes.append(
-                NodeTrace(
-                    path=reader.text(),
-                    kind="gate" if reader.u8() else "leaf",
-                    label=reader.text(),
-                    threshold=reader.u32(),
-                    child_count=reader.u32(),
-                    satisfied=reader.u32(),
-                    passed=bool(reader.u8()),
-                )
-            )
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            granted=granted,
-            policy_text=policy_text,
-            nodes=tuple(nodes),
-        )
-
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
 
 
 def _gate_label(gate: ThresholdGate) -> str:

@@ -1,14 +1,21 @@
-"""Typed protocol messages and their byte codecs.
+"""Typed protocol messages.
 
-One dataclass per wire message. Each class carries a unique ``TYPE``
-byte, an ``encode_body`` method and a ``decode_body`` classmethod;
-:func:`encode_message` / :func:`decode_message` add and strip the
-versioned envelope (:mod:`repro.proto.envelope`).
+One frozen dataclass per wire message. Each class carries a unique
+``TYPE`` byte and declares its body's fields with their wire kinds
+(:func:`repro.util.codec.wire`); the body encoder and decoder are derived
+from that declaration. :func:`encode_message` / :func:`decode_message`
+add and strip the versioned envelope (:mod:`repro.proto.envelope`).
 
-Message bodies reuse the canonical encodings the core layer already
-defines (``Puzzle.to_bytes``, ``DisplayedPuzzle.to_bytes``, ...), so a
-message's payload size equals the ``byte_size()`` the cost meter charges
-— the wire layer adds only the envelope.
+A message that carries a core artifact (``Puzzle``, ``DisplayedPuzzle``,
+``ShareRelease``, ``Explanation``...) declares it as a record field, so
+the body is the artifact's own encoding, and a message's payload size
+equals the ``byte_size()`` the cost meter charges — the wire layer adds
+only the envelope.
+
+Any failure while a body is decoded — a truncated field, an artifact's
+own validation, a malformed access tree — leaves :func:`decode_message`
+as :class:`~repro.util.codec.CodecError`, which the serve loop answers
+with a transient ``bad-message`` reply.
 
 Failures cross the wire as :class:`ErrorReply`, which round-trips the
 repository's exception taxonomy (:mod:`repro.core.errors`) by stable
@@ -20,8 +27,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.core.construction1 import DisplayedPuzzle, PuzzleAnswers, ShareRelease
 from repro.core.construction2 import (
@@ -44,13 +50,25 @@ from repro.core.errors import (
 )
 from repro.core.puzzle import Puzzle
 from repro.core.throttle import ThrottledError
-from repro.osn.provider import OsnError, Post, User
+from repro.osn.provider import AUDIENCE, OsnError, Post, User
 from repro.osn.storage import StorageError
+from repro.policy.explain import Explanation
 from repro.proto.envelope import WireFormatError, open_envelope, seal
-from repro.util.codec import CodecError, Reader, blob, text, u8, u32
-
-if TYPE_CHECKING:  # the policy plane is a runtime-lazy import (reply decode)
-    from repro.policy.explain import Explanation
+from repro.util.codec import (
+    BLOB,
+    BOOL,
+    TEXT,
+    U8,
+    U32,
+    CodecError,
+    Kind,
+    Reader,
+    WireRecord,
+    mapping,
+    record,
+    seq,
+    wire,
+)
 
 __all__ = [
     "Message",
@@ -58,6 +76,7 @@ __all__ = [
     "encode_message",
     "decode_message",
     "message_name",
+    "rng_from_state",
     "StorePuzzleRequest",
     "StoreUploadRequest",
     "DisplayPuzzleRequest",
@@ -105,21 +124,14 @@ def _register(cls: type["Message"]) -> type["Message"]:
     return cls
 
 
-class Message:
-    """Base class: encode/decode glue around the per-class body codecs."""
+class Message(WireRecord):
+    """Base class: a wire record whose encoding is a message body."""
 
     TYPE = -1
 
-    def encode_body(self) -> bytes:
-        raise NotImplementedError
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "Message":
-        raise NotImplementedError
-
 
 def encode_message(message: Message) -> bytes:
-    return seal(message.TYPE, message.encode_body())
+    return seal(message.TYPE, message.to_bytes())
 
 
 def decode_message(data: bytes) -> Message:
@@ -127,7 +139,7 @@ def decode_message(data: bytes) -> Message:
     cls = MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise WireFormatError("unknown message type 0x%02x" % msg_type)
-    return cls.decode_body(body)
+    return cls.from_bytes(body)
 
 
 def message_name(msg_type: int | None) -> str:
@@ -135,89 +147,33 @@ def message_name(msg_type: int | None) -> str:
     return cls.__name__ if cls is not None else "invalid"
 
 
-# -- shared field codecs -----------------------------------------------------
-
-
-def _encode_user(user: User) -> bytes:
-    return u32(user.user_id) + text(user.name)
-
-
-def _decode_user(reader: Reader) -> User:
-    return User(user_id=reader.u32(), name=reader.text())
-
-
-def _encode_audience(audience: str | frozenset[int]) -> bytes:
-    if audience == "friends":
-        return u8(0)
-    if audience == "public":
-        return u8(1)
-    if isinstance(audience, str):
-        # An invalid audience string is still representable — the
-        # provider, not the codec, owns that validation.
-        return u8(3) + text(audience)
-    members = sorted(audience)
-    return u8(2) + u32(len(members)) + b"".join(u32(uid) for uid in members)
-
-
-def _decode_audience(reader: Reader) -> str | frozenset[int]:
-    tag = reader.u8()
-    if tag == 0:
-        return "friends"
-    if tag == 1:
-        return "public"
-    if tag == 2:
-        return frozenset(reader.u32() for _ in range(reader.u32()))
-    if tag == 3:
-        return reader.text()
-    raise CodecError("unknown audience tag %d" % tag)
-
-
-def _encode_post(post: Post) -> bytes:
-    return (
-        u32(post.post_id)
-        + _encode_user(post.author)
-        + text(post.content)
-        + _encode_audience(post.audience)
-    )
-
-
-def _decode_post(reader: Reader) -> Post:
-    return Post(
-        post_id=reader.u32(),
-        author=_decode_user(reader),
-        content=reader.text(),
-        audience=_decode_audience(reader),
-    )
-
-
 # ``random.Random`` state: (version, 625 words + index, optional gauss).
 # Serializing the full state keeps the SP's question sampling
-# deterministic for a caller-supplied rng even across the wire.
+# deterministic for a caller-supplied rng even across the wire. The
+# words cross in one ``struct`` call each way.
 _RngState = tuple
 
 
-def _encode_rng_state(state: _RngState | None) -> bytes:
+def _write_rng_state(state: _RngState | None) -> bytes:
     if state is None:
-        return u8(0)
+        return b"\x00"
     version, words, gauss = state
-    body = u8(1) + u32(version) + u32(len(words))
-    body += b"".join(u32(word) for word in words)
+    body = struct.pack(">BII%dI" % len(words), 1, version, len(words), *words)
     if gauss is None:
-        body += u8(0)
-    else:
-        body += u8(1) + struct.pack(">d", gauss)
-    return body
+        return body + b"\x00"
+    return body + struct.pack(">Bd", 1, gauss)
 
 
-def _decode_rng_state(reader: Reader) -> _RngState | None:
-    if reader.u8() == 0:
+def _read_rng_state(reader: Reader) -> _RngState | None:
+    if not reader.u8():
         return None
-    version = reader.u32()
-    words = tuple(reader.u32() for _ in range(reader.u32()))
-    gauss = None
-    if reader.u8():
-        gauss = struct.unpack(">d", reader.take(8))[0]
+    version, count = struct.unpack(">II", reader.take(8))
+    words = struct.unpack(">%dI" % count, reader.take(4 * count))
+    gauss = struct.unpack(">d", reader.take(8))[0] if reader.u8() else None
     return (version, words, gauss)
+
+
+_RNG_STATE = Kind(_write_rng_state, _read_rng_state)
 
 
 def rng_from_state(state: _RngState | None) -> random.Random | None:
@@ -241,14 +197,7 @@ class StorePuzzleRequest(Message):
     """C1 Upload: the sharer ships Z_O to the SP."""
 
     TYPE = 0x01
-    puzzle: Puzzle
-
-    def encode_body(self) -> bytes:
-        return self.puzzle.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorePuzzleRequest":
-        return cls(puzzle=Puzzle.from_bytes(body))
+    puzzle: Puzzle = wire(record(Puzzle))
 
 
 @_register
@@ -257,14 +206,7 @@ class StoreUploadRequest(Message):
     """C2 Upload: tau' + PK + MK + URL_O to the SP."""
 
     TYPE = 0x02
-    record: C2Upload
-
-    def encode_body(self) -> bytes:
-        return self.record.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoreUploadRequest":
-        return cls(record=C2Upload.from_bytes(body))
+    record: C2Upload = wire(record(C2Upload))
 
 
 @_register
@@ -273,27 +215,9 @@ class DisplayPuzzleRequest(Message):
     """DisplayPuzzle: ask the SP for the question subset."""
 
     TYPE = 0x03
-    construction: int
-    puzzle_id: int
-    rng_state: _RngState | None = None
-
-    def encode_body(self) -> bytes:
-        return (
-            u8(self.construction)
-            + u32(self.puzzle_id)
-            + _encode_rng_state(self.rng_state)
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "DisplayPuzzleRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        rng_state = _decode_rng_state(reader)
-        reader.done()
-        return cls(
-            construction=construction, puzzle_id=puzzle_id, rng_state=rng_state
-        )
+    construction: int = wire(U8)
+    puzzle_id: int = wire(U32)
+    rng_state: _RngState | None = wire(_RNG_STATE, default=None)
 
 
 @dataclass(frozen=True)
@@ -306,35 +230,10 @@ class _AnswerEvidence(Message):
     when the service enforces one.
     """
 
-    construction: int
-    puzzle_id: int
-    requester: str
-    digests: dict[str, bytes] = field(default_factory=dict)
-
-    def encode_body(self) -> bytes:
-        body = u8(self.construction) + u32(self.puzzle_id) + text(self.requester)
-        body += u32(len(self.digests))
-        for question, digest in self.digests.items():
-            body += text(question) + blob(digest)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes):
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        requester = reader.text()
-        digests: dict[str, bytes] = {}
-        for _ in range(reader.u32()):
-            question = reader.text()
-            digests[question] = reader.blob()
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            requester=requester,
-            digests=digests,
-        )
+    construction: int = wire(U8)
+    puzzle_id: int = wire(U32)
+    requester: str = wire(TEXT)
+    digests: dict[str, bytes] = wire(mapping(TEXT, BLOB), default_factory=dict)
 
     @classmethod
     def from_answers(cls, construction: int, answers, requester: str):
@@ -365,30 +264,25 @@ class AnswerSubmission(_AnswerEvidence):
     TYPE = 0x04
 
 
+@dataclass(frozen=True)
+class _PuzzleRef(Message):
+    """The body the retract verbs share: which construction, which puzzle."""
+
+    construction: int = wire(U8)
+    puzzle_id: int = wire(U32)
+
+
 @_register
 @dataclass(frozen=True)
-class RetractPuzzleRequest(Message):
+class RetractPuzzleRequest(_PuzzleRef):
     """Remove a puzzle registration (retraction or publish rollback)."""
 
     TYPE = 0x05
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractPuzzleRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
 @dataclass(frozen=True)
-class RetractPrepareRequest(Message):
+class RetractPrepareRequest(_PuzzleRef):
     """Retract saga phase 1: hide the registration, learn URL_O.
 
     A prepared registration stops serving display/verify immediately but
@@ -398,61 +292,22 @@ class RetractPrepareRequest(Message):
     """
 
     TYPE = 0x0C
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractPrepareRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
 @dataclass(frozen=True)
-class RetractCommitRequest(Message):
+class RetractCommitRequest(_PuzzleRef):
     """Retract saga phase 2: discard the prepared registration for good."""
 
     TYPE = 0x0D
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractCommitRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
 @dataclass(frozen=True)
-class RetractAbortRequest(Message):
+class RetractAbortRequest(_PuzzleRef):
     """Retract saga rollback: restore a prepared registration."""
 
     TYPE = 0x0E
-    construction: int
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractAbortRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(construction=construction, puzzle_id=puzzle_id)
 
 
 @_register
@@ -461,25 +316,9 @@ class PublishPostRequest(Message):
     """Place the hyperlink post on the sharer's profile."""
 
     TYPE = 0x06
-    author: User
-    content: str
-    audience: str | frozenset[int] = "friends"
-
-    def encode_body(self) -> bytes:
-        return (
-            _encode_user(self.author)
-            + text(self.content)
-            + _encode_audience(self.audience)
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "PublishPostRequest":
-        reader = Reader(body)
-        author = _decode_user(reader)
-        content = reader.text()
-        audience = _decode_audience(reader)
-        reader.done()
-        return cls(author=author, content=content, audience=audience)
+    author: User = wire(record(User))
+    content: str = wire(TEXT)
+    audience: str | frozenset[int] = wire(AUDIENCE, default="friends")
 
 
 @_register
@@ -488,19 +327,8 @@ class FetchPostRequest(Message):
     """Static-ACL read: fetch a post as a given viewer."""
 
     TYPE = 0x07
-    viewer: User
-    post_id: int
-
-    def encode_body(self) -> bytes:
-        return _encode_user(self.viewer) + u32(self.post_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "FetchPostRequest":
-        reader = Reader(body)
-        viewer = _decode_user(reader)
-        post_id = reader.u32()
-        reader.done()
-        return cls(viewer=viewer, post_id=post_id)
+    viewer: User = wire(record(User))
+    post_id: int = wire(U32)
 
 
 @_register
@@ -514,25 +342,10 @@ class RegisterUserRequest(Message):
     answers)."""
 
     TYPE = 0x0F
-    name: str
-    profile: dict[str, str] = field(default_factory=dict)
-
-    def encode_body(self) -> bytes:
-        body = text(self.name) + u32(len(self.profile))
-        for key in sorted(self.profile):
-            body += text(key) + text(self.profile[key])
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RegisterUserRequest":
-        reader = Reader(body)
-        name = reader.text()
-        profile: dict[str, str] = {}
-        for _ in range(reader.u32()):
-            key = reader.text()
-            profile[key] = reader.text()
-        reader.done()
-        return cls(name=name, profile=profile)
+    name: str = wire(TEXT)
+    profile: dict[str, str] = wire(
+        mapping(TEXT, TEXT, sort=True), default_factory=dict
+    )
 
 
 @_register
@@ -541,19 +354,8 @@ class BefriendRequest(Message):
     """Make two accounts friends (symmetric, per the paper's model)."""
 
     TYPE = 0x10
-    a: User
-    b: User
-
-    def encode_body(self) -> bytes:
-        return _encode_user(self.a) + _encode_user(self.b)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "BefriendRequest":
-        reader = Reader(body)
-        a = _decode_user(reader)
-        b = _decode_user(reader)
-        reader.done()
-        return cls(a=a, b=b)
+    a: User = wire(record(User))
+    b: User = wire(record(User))
 
 
 @_register
@@ -569,25 +371,9 @@ class SharePolicyRequest(Message):
     """
 
     TYPE = 0x11
-    construction: int
-    puzzle_id: int
-    policy_text: str
-
-    def encode_body(self) -> bytes:
-        return u8(self.construction) + u32(self.puzzle_id) + text(self.policy_text)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "SharePolicyRequest":
-        reader = Reader(body)
-        construction = reader.u8()
-        puzzle_id = reader.u32()
-        policy_text = reader.text()
-        reader.done()
-        return cls(
-            construction=construction,
-            puzzle_id=puzzle_id,
-            policy_text=policy_text,
-        )
+    construction: int = wire(U8)
+    puzzle_id: int = wire(U32)
+    policy_text: str = wire(TEXT)
 
 
 @_register
@@ -606,68 +392,28 @@ class ExplainRequest(_AnswerEvidence):
 @dataclass(frozen=True)
 class StoragePutRequest(Message):
     TYPE = 0x08
-    data: bytes
-
-    def encode_body(self) -> bytes:
-        return blob(self.data)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoragePutRequest":
-        reader = Reader(body)
-        data = reader.blob()
-        reader.done()
-        return cls(data=data)
+    data: bytes = wire(BLOB)
 
 
 @_register
 @dataclass(frozen=True)
 class StorageGetRequest(Message):
     TYPE = 0x09
-    url: str
-
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageGetRequest":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    url: str = wire(TEXT)
 
 
 @_register
 @dataclass(frozen=True)
 class StorageExistsRequest(Message):
     TYPE = 0x0A
-    url: str
-
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageExistsRequest":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    url: str = wire(TEXT)
 
 
 @_register
 @dataclass(frozen=True)
 class StorageDeleteRequest(Message):
     TYPE = 0x0B
-    url: str
-
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageDeleteRequest":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    url: str = wire(TEXT)
 
 
 # -- batching ----------------------------------------------------------------
@@ -687,20 +433,7 @@ class BatchRequest(Message):
     """
 
     TYPE = 0x20
-    frames: tuple[bytes, ...]
-
-    def encode_body(self) -> bytes:
-        body = u32(len(self.frames))
-        for frame in self.frames:
-            body += blob(frame)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "BatchRequest":
-        reader = Reader(body)
-        frames = tuple(reader.blob() for _ in range(reader.u32()))
-        reader.done()
-        return cls(frames=frames)
+    frames: tuple[bytes, ...] = wire(seq(BLOB))
 
     @classmethod
     def of(cls, *messages: Message) -> "BatchRequest":
@@ -719,20 +452,7 @@ class BatchReply(Message):
     slot; success and failure coexist in one reply."""
 
     TYPE = 0x60
-    frames: tuple[bytes, ...]
-
-    def encode_body(self) -> bytes:
-        body = u32(len(self.frames))
-        for frame in self.frames:
-            body += blob(frame)
-        return body
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "BatchReply":
-        reader = Reader(body)
-        frames = tuple(reader.blob() for _ in range(reader.u32()))
-        reader.done()
-        return cls(frames=frames)
+    frames: tuple[bytes, ...] = wire(seq(BLOB))
 
     @classmethod
     def of(cls, *messages: Message) -> "BatchReply":
@@ -748,45 +468,21 @@ class StoreReply(Message):
     """The SP-assigned puzzle identifier."""
 
     TYPE = 0x40
-    puzzle_id: int
-
-    def encode_body(self) -> bytes:
-        return u32(self.puzzle_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoreReply":
-        reader = Reader(body)
-        puzzle_id = reader.u32()
-        reader.done()
-        return cls(puzzle_id=puzzle_id)
+    puzzle_id: int = wire(U32)
 
 
 @_register
 @dataclass(frozen=True)
 class DisplayReplyC1(Message):
     TYPE = 0x41
-    displayed: DisplayedPuzzle
-
-    def encode_body(self) -> bytes:
-        return self.displayed.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "DisplayReplyC1":
-        return cls(displayed=DisplayedPuzzle.from_bytes(body))
+    displayed: DisplayedPuzzle = wire(record(DisplayedPuzzle))
 
 
 @_register
 @dataclass(frozen=True)
 class DisplayReplyC2(Message):
     TYPE = 0x42
-    displayed: DisplayedPuzzleC2
-
-    def encode_body(self) -> bytes:
-        return self.displayed.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "DisplayReplyC2":
-        return cls(displayed=DisplayedPuzzleC2.from_bytes(body))
+    displayed: DisplayedPuzzleC2 = wire(record(DisplayedPuzzleC2))
 
 
 @_register
@@ -795,14 +491,7 @@ class ReleaseReply(Message):
     """C1 Verify success: blinded shares + URL_O."""
 
     TYPE = 0x43
-    release: ShareRelease
-
-    def encode_body(self) -> bytes:
-        return self.release.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ReleaseReply":
-        return cls(release=ShareRelease.from_bytes(body))
+    release: ShareRelease = wire(record(ShareRelease))
 
 
 @_register
@@ -811,31 +500,14 @@ class GrantReply(Message):
     """C2 Verify success: URL_O + PK + MK."""
 
     TYPE = 0x44
-    grant: AccessGrantC2
-
-    def encode_body(self) -> bytes:
-        return self.grant.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "GrantReply":
-        return cls(grant=AccessGrantC2.from_bytes(body))
+    grant: AccessGrantC2 = wire(record(AccessGrantC2))
 
 
 @_register
 @dataclass(frozen=True)
 class RetractReply(Message):
     TYPE = 0x45
-    removed: bool
-
-    def encode_body(self) -> bytes:
-        return u8(int(self.removed))
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractReply":
-        reader = Reader(body)
-        removed = bool(reader.u8())
-        reader.done()
-        return cls(removed=removed)
+    removed: bool = wire(BOOL)
 
 
 @_register
@@ -845,34 +517,14 @@ class RetractPrepareReply(Message):
     before the saga may commit."""
 
     TYPE = 0x4A
-    url: str
-
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RetractPrepareReply":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    url: str = wire(TEXT)
 
 
 @_register
 @dataclass(frozen=True)
 class PostReply(Message):
     TYPE = 0x46
-    post: Post
-
-    def encode_body(self) -> bytes:
-        return _encode_post(self.post)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "PostReply":
-        reader = Reader(body)
-        post = _decode_post(reader)
-        reader.done()
-        return cls(post=post)
+    post: Post = wire(record(Post))
 
 
 @_register
@@ -881,17 +533,7 @@ class UserReply(Message):
     """The freshly registered account."""
 
     TYPE = 0x4B
-    user: User
-
-    def encode_body(self) -> bytes:
-        return _encode_user(self.user)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "UserReply":
-        reader = Reader(body)
-        user = _decode_user(reader)
-        reader.done()
-        return cls(user=user)
+    user: User = wire(record(User))
 
 
 @_register
@@ -905,14 +547,6 @@ class AckReply(Message):
 
     TYPE = 0x4C
 
-    def encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "AckReply":
-        Reader(body).done()
-        return cls()
-
 
 @_register
 @dataclass(frozen=True)
@@ -925,50 +559,21 @@ class ExplainReply(Message):
     """
 
     TYPE = 0x4D
-    explanation: "Explanation"
-
-    def encode_body(self) -> bytes:
-        return self.explanation.to_bytes()
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ExplainReply":
-        from repro.policy.explain import Explanation
-
-        return cls(explanation=Explanation.from_bytes(body))
+    explanation: Explanation = wire(record(Explanation))
 
 
 @_register
 @dataclass(frozen=True)
 class StoragePutReply(Message):
     TYPE = 0x47
-    url: str
-
-    def encode_body(self) -> bytes:
-        return text(self.url)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StoragePutReply":
-        reader = Reader(body)
-        url = reader.text()
-        reader.done()
-        return cls(url=url)
+    url: str = wire(TEXT)
 
 
 @_register
 @dataclass(frozen=True)
 class StorageGetReply(Message):
     TYPE = 0x48
-    data: bytes
-
-    def encode_body(self) -> bytes:
-        return blob(self.data)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageGetReply":
-        reader = Reader(body)
-        data = reader.blob()
-        reader.done()
-        return cls(data=data)
+    data: bytes = wire(BLOB)
 
 
 @_register
@@ -977,17 +582,7 @@ class StorageBoolReply(Message):
     """Reply to exists/delete: a single boolean."""
 
     TYPE = 0x49
-    value: bool
-
-    def encode_body(self) -> bytes:
-        return u8(int(self.value))
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "StorageBoolReply":
-        reader = Reader(body)
-        value = bool(reader.u8())
-        reader.done()
-        return cls(value=value)
+    value: bool = wire(BOOL)
 
 
 # -- the error reply and the taxonomy mapping --------------------------------
@@ -1030,21 +625,9 @@ class ErrorReply(Message):
     """
 
     TYPE = 0x7F
-    code: str
-    message: str
-    transient: bool
-
-    def encode_body(self) -> bytes:
-        return text(self.code) + text(self.message) + u8(int(self.transient))
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "ErrorReply":
-        reader = Reader(body)
-        code = reader.text()
-        message = reader.text()
-        transient = bool(reader.u8())
-        reader.done()
-        return cls(code=code, message=message, transient=transient)
+    code: str = wire(TEXT)
+    message: str = wire(TEXT)
+    transient: bool = wire(BOOL)
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "ErrorReply":

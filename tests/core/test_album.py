@@ -45,6 +45,14 @@ class TestManifest:
         manifest = AlbumManifest(items=(("a.jpg", "dh://x/1"), ("b.jpg", "dh://x/2")))
         assert AlbumManifest.from_bytes(manifest.to_bytes()) == manifest
 
+    def test_bytes_are_pinned(self):
+        manifest = AlbumManifest(items=(("a.jpg", "dh://x/1"), ("b.jpg", "dh://x/2")))
+        assert manifest.to_bytes().hex() == (
+            "00000002"
+            "00000005612e6a7067" "0000000864683a2f2f782f31"
+            "00000005622e6a7067" "0000000864683a2f2f782f32"
+        )
+
     def test_lookup(self):
         manifest = AlbumManifest(items=(("a.jpg", "dh://x/1"),))
         assert manifest.url_for("a.jpg") == "dh://x/1"

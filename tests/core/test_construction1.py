@@ -242,6 +242,22 @@ class TestVerifyService:
         assert {"fabricated question?"} & {s.question for s in release.shares} == set()
 
 
+class TestAnswersEncoding:
+    def test_bytes_are_pinned(self):
+        """The meter charges these bytes; digests run to the end uncounted."""
+        from repro.core.construction1 import PuzzleAnswers
+
+        answers = PuzzleAnswers(
+            puzzle_id=3, digests={"Who drove?": bytes(range(8)), "Where?": b"\xff\xfe"}
+        )
+        assert answers.to_bytes().hex() == (
+            "00000003"
+            "0000000a57686f2064726f76653f" "000000080001020304050607"
+            "0000000657686572653f" "00000002fffe"
+        )
+        assert PuzzleAnswers.from_bytes(answers.to_bytes()) == answers
+
+
 class TestSignedPuzzles:
     def test_signed_flow_verifies(self, party_context, secret_object):
         storage = StorageHost()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.abe.access_tree import AccessTree
 from repro.core.construction2 import (
+    PuzzleAnswersC2,
     PuzzleServiceC2,
     ReceiverC2,
     SharerC2,
@@ -288,6 +289,20 @@ class TestService:
         assert set(sizes) == {"details.txt", "pub_key", "master_key"}
         assert all(v > 0 for v in sizes.values())
         assert len(ct_bytes) > 0
+
+
+class TestAnswersEncoding:
+    def test_bytes_are_pinned(self):
+        """The meter charges these bytes; digests run to the end uncounted."""
+        answers = PuzzleAnswersC2(
+            puzzle_id=4, digests={"Who drove?": "ab12", "Where?": "ff"}
+        )
+        assert answers.to_bytes().hex() == (
+            "00000004"
+            "0000000a57686f2064726f76653f" "0000000461623132"
+            "0000000657686572653f" "000000026666"
+        )
+        assert PuzzleAnswersC2.from_bytes(answers.to_bytes()) == answers
 
 
 class TestNestedPolicies:

@@ -53,8 +53,10 @@ and ``benchmarks/test_degraded_reads.py``).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
+import statistics
 import sys
 import time
 
@@ -65,6 +67,7 @@ from repro.crypto.params import SMALL
 
 K = 5
 ROUNDS = 5
+MIN_ROUND_S = 0.02
 
 
 def _timed(fn, rounds: int = ROUNDS) -> float:
@@ -73,6 +76,38 @@ def _timed(fn, rounds: int = ROUNDS) -> float:
     for _ in range(rounds):
         fn()
     return (time.perf_counter() - start) / rounds
+
+
+def _paired(naive, fast, rounds: int = ROUNDS) -> tuple[float, float]:
+    """Median seconds per call of two implementations of one operation.
+
+    The sides are timed in alternating rounds, each going first in every
+    other round, so a load burst on a shared host lands on both sides
+    instead of moving their ratio. A round repeats a fast call until it
+    lasts ``MIN_ROUND_S``, so timer jitter does not decide a
+    microsecond-scale side, and, as in :mod:`timeit`, the cyclic garbage
+    collector is off while timing, so a collection does not land on
+    whichever side happens to trigger it.
+    """
+    sides = []
+    for fn in (naive, fast):
+        start = time.perf_counter()
+        fn()  # warm caches outside the timed region; size the round
+        once = max(time.perf_counter() - start, 1e-9)
+        sides.append((fn, max(1, int(MIN_ROUND_S / once)), []))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(rounds):
+            for fn, calls, times in sides if i % 2 == 0 else sides[::-1]:
+                start = time.perf_counter()
+                for _ in range(calls):
+                    fn()
+                times.append((time.perf_counter() - start) / calls)
+    finally:
+        if collecting:
+            gc.enable()
+    return statistics.median(sides[0][2]), statistics.median(sides[1][2])
 
 
 def bench_pair_product(pairing: Pairing, rng: random.Random) -> dict:
@@ -88,8 +123,7 @@ def bench_pair_product(pairing: Pairing, rng: random.Random) -> dict:
             value = value * pairing.pair(p, q)
         return value
 
-    naive_s = _timed(naive)
-    fused_s = _timed(lambda: pairing.pair_product(pairs))
+    naive_s, fused_s = _paired(naive, lambda: pairing.pair_product(pairs))
     return {
         "pairs": len(pairs),
         "naive_ms": naive_s * 1e3,
@@ -111,8 +145,7 @@ def bench_gt_multi_exp(pairing: Pairing, rng: random.Random) -> dict:
             value = value * b ** e
         return value
 
-    naive_s = _timed(naive)
-    fused_s = _timed(lambda: pairing.gt_multi_exp(bases, exponents))
+    naive_s, fused_s = _paired(naive, lambda: pairing.gt_multi_exp(bases, exponents))
     return {
         "terms": len(bases),
         "naive_ms": naive_s * 1e3,
@@ -124,8 +157,9 @@ def bench_gt_multi_exp(pairing: Pairing, rng: random.Random) -> dict:
 def bench_batch_modinv(rng: random.Random) -> dict:
     m = SMALL.q
     values = [rng.randrange(1, m) for _ in range(64)]
-    naive_s = _timed(lambda: [modinv(v, m) for v in values])
-    batched_s = _timed(lambda: batch_modinv(values, m))
+    naive_s, batched_s = _paired(
+        lambda: [modinv(v, m) for v in values], lambda: batch_modinv(values, m)
+    )
     return {
         "values": len(values),
         "naive_ms": naive_s * 1e3,
@@ -143,8 +177,10 @@ def bench_decrypt() -> dict:
     ct = abe.encrypt_element(pk, message, tree)
     sk = abe.keygen(pk, mk, set(attributes))
 
-    naive_s = _timed(lambda: abe.decrypt_element(pk, sk, ct, fused=False))
-    fused_s = _timed(lambda: abe.decrypt_element(pk, sk, ct))
+    naive_s, fused_s = _paired(
+        lambda: abe.decrypt_element(pk, sk, ct, fused=False),
+        lambda: abe.decrypt_element(pk, sk, ct),
+    )
 
     abe.pairing.reset_op_counts()
     abe.decrypt_element(pk, sk, ct, fused=False)
@@ -210,6 +246,7 @@ def bench_policy_depth() -> dict:
     from repro.core.context import Context
     from repro.osn.storage import StorageHost
     from repro.policy import PuzzlePolicy
+    from repro.sim.figures import _full_display_rng
 
     answers = {
         "scope:group/trip": "trip-roster-secret",
@@ -247,10 +284,13 @@ def bench_policy_depth() -> dict:
             _timed(lambda: sharer1.upload_policy(obj, sharer_context, policy))
             * 1e3
         )
-        puzzle_id = service1.store_puzzle(
-            sharer1.upload_policy(obj, sharer_context, policy)
+        puzzle = sharer1.upload_policy(obj, sharer_context, policy)
+        puzzle_id = service1.store_puzzle(puzzle)
+        # Display every question: a random subset could hide one the
+        # receiver knows and deny the access being timed.
+        displayed = service1.display_puzzle(
+            puzzle_id, rng=_full_display_rng(puzzle.n, puzzle.k)
         )
-        displayed = service1.display_puzzle(puzzle_id)
         receiver1 = ReceiverC1("bob", storage)
 
         def c1_access():
