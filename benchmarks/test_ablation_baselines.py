@@ -22,6 +22,7 @@ from repro.crypto.params import DEFAULT
 from repro.osn.provider import ServiceProvider
 from repro.osn.storage import StorageHost
 from repro.osn.workload import PaperWorkload
+from repro.policy.model import PuzzlePolicy
 
 N, K = 4, 2
 
@@ -30,7 +31,8 @@ def _c1_roundtrip(context, message):
     storage = StorageHost()
     sharer = SharerC1("s", storage)
     service = PuzzleServiceC1()
-    puzzle_id = service.store_puzzle(sharer.upload(message, context, k=K, n=N))
+    policy = PuzzlePolicy.from_k_of_n(K, context.questions[:N])
+    puzzle_id = service.store_puzzle(sharer.upload_policy(message, context, policy))
     receiver = ReceiverC1("r", storage)
     seed = next(s for s in range(10_000) if random.Random(s).randint(K, N) == N)
     displayed = service.display_puzzle(puzzle_id, rng=random.Random(seed))
@@ -42,7 +44,8 @@ def _c2_roundtrip(context, message):
     storage = StorageHost()
     sharer = SharerC2("s", storage, DEFAULT)
     service = PuzzleServiceC2()
-    record, _ = sharer.upload(message, context, k=K, n=N)
+    policy = PuzzlePolicy.from_k_of_n(K, context.questions[:N])
+    record, _ = sharer.upload_policy(message, context, policy)
     puzzle_id = service.store_upload(record)
     receiver = ReceiverC2("r", storage, DEFAULT)
     displayed = service.display_puzzle(puzzle_id)

@@ -20,6 +20,7 @@ from repro.core.construction1 import C1_FIELD_PRIME, SharerC1
 from repro.core.context import Context, QAPair
 from repro.core.entropy import audit_puzzle_strength
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
 
 K = 2
 DOMAIN_SIZES = [4, 64, 1024]
@@ -40,7 +41,8 @@ def _build_puzzle(domain_size: int, seed_word: str):
     context = Context(pairs)
     storage = StorageHost()
     obj = b"entropy ablation object"
-    puzzle = SharerC1("s", storage).upload(obj, context, k=K, n=3)
+    policy = PuzzlePolicy.from_k_of_n(K, context.questions)
+    puzzle = SharerC1("s", storage).upload_policy(obj, context, policy)
     return context, vocabulary_by_question, storage, puzzle, obj
 
 

@@ -18,21 +18,26 @@ from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
 from repro.crypto.params import SMALL
 from repro.osn.storage import StorageHost
 from repro.osn.workload import PaperWorkload
+from repro.policy.model import PuzzlePolicy
 
 SIZES = [100, 1_000, 10_000, 100_000, 262_144]
 N, K = 4, 2
 
 
+def _flat(context):
+    return PuzzlePolicy.from_k_of_n(K, context.questions[:N])
+
+
 def _c1_share(context, message):
     storage = StorageHost()
     sharer = SharerC1("s", storage)
-    return sharer.upload(message, context, k=K, n=N)
+    return sharer.upload_policy(message, context, _flat(context))
 
 
 def _c2_share(context, message):
     storage = StorageHost()
     sharer = SharerC2("s", storage, SMALL)
-    return sharer.upload(message, context, k=K, n=N)
+    return sharer.upload_policy(message, context, _flat(context))
 
 
 def test_message_size_report():
@@ -86,7 +91,9 @@ def test_roundtrip_at_largest_size():
     storage = StorageHost()
     sharer = SharerC1("s", storage)
     service = PuzzleServiceC1()
-    puzzle_id = service.store_puzzle(sharer.upload(message, context, k=K, n=N))
+    puzzle_id = service.store_puzzle(
+        sharer.upload_policy(message, context, _flat(context))
+    )
     receiver = ReceiverC1("r", storage)
     import random
 

@@ -15,6 +15,7 @@ from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
 from repro.crypto.params import DEFAULT, SMALL, TOY
 from repro.osn.storage import StorageHost
 from repro.osn.workload import PaperWorkload
+from repro.policy.model import PuzzlePolicy
 
 PRESETS = [TOY, SMALL, DEFAULT]
 N, K = 5, 2
@@ -24,7 +25,8 @@ def _flow(params, context, message):
     storage = StorageHost()
     sharer = SharerC2("s", storage, params)
     service = PuzzleServiceC2()
-    record, ct_bytes = sharer.upload(message, context, k=K, n=N)
+    policy = PuzzlePolicy.from_k_of_n(K, context.questions[:N])
+    record, ct_bytes = sharer.upload_policy(message, context, policy)
     puzzle_id = service.store_upload(record)
     receiver = ReceiverC2("r", storage, params)
     displayed = service.display_puzzle(puzzle_id)

@@ -20,6 +20,7 @@ from repro.crypto.params import DEFAULT
 from repro.crypto.schnorr import SchnorrScheme
 from repro.osn.storage import StorageHost
 from repro.osn.workload import PaperWorkload
+from repro.policy.model import PuzzlePolicy
 
 N, K = 4, 2
 VERIFY_SAMPLES = 7
@@ -40,16 +41,17 @@ def test_signing_overhead_report():
     workload = PaperWorkload(seed=10)
     context = workload.context(N)
     message = workload.message()
+    policy = PuzzlePolicy.from_k_of_n(K, context.questions[:N])
 
     # Unsigned vs BLS-signed sharer flow.
     start = time.perf_counter()
-    SharerC1("plain", StorageHost()).upload(message, context, k=K, n=N)
+    SharerC1("plain", StorageHost()).upload_policy(message, context, policy)
     unsigned_ms = (time.perf_counter() - start) * 1e3
 
     bls = BlsScheme(DEFAULT)
     start = time.perf_counter()
-    signed_puzzle = SharerC1("signed", StorageHost(), bls=bls).upload(
-        message, context, k=K, n=N
+    signed_puzzle = SharerC1("signed", StorageHost(), bls=bls).upload_policy(
+        message, context, policy
     )
     signed_ms = (time.perf_counter() - start) * 1e3
 
@@ -87,8 +89,8 @@ def test_bench_puzzle_signature_verify(benchmark, scheme_name):
     workload = PaperWorkload(seed=11)
     context = workload.context(N)
     bls = BlsScheme(DEFAULT)
-    puzzle = SharerC1("s", StorageHost(), bls=bls).upload(
-        workload.message(), context, k=K, n=N
+    puzzle = SharerC1("s", StorageHost(), bls=bls).upload_policy(
+        workload.message(), context, PuzzlePolicy.from_k_of_n(K, context.questions[:N])
     )
     payload = puzzle.signed_payload()
     if scheme_name == "bls":

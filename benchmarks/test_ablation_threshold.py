@@ -22,6 +22,7 @@ from repro.core.construction1 import PuzzleServiceC1, ReceiverC1, SharerC1
 from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
 from repro.osn.storage import StorageHost
 from repro.osn.workload import PaperWorkload
+from repro.policy.model import PuzzlePolicy
 
 N = 10
 K_VALUES = [1, 2, 4, 6, 8, 10]
@@ -31,7 +32,8 @@ def _c1_flow(k, context, message):
     storage = StorageHost()
     sharer = SharerC1("s", storage)
     service = PuzzleServiceC1()
-    puzzle_id = service.store_puzzle(sharer.upload(message, context, k=k, n=N))
+    policy = PuzzlePolicy.from_k_of_n(k, context.questions[:N])
+    puzzle_id = service.store_puzzle(sharer.upload_policy(message, context, policy))
     receiver = ReceiverC1("r", storage)
     # Deterministic full display so every k succeeds.
     seed = next(s for s in range(10_000) if random.Random(s).randint(k, N) == N)
@@ -45,7 +47,8 @@ def _c2_flow(k, context, message, params):
     storage = StorageHost()
     sharer = SharerC2("s", storage, params)
     service = PuzzleServiceC2()
-    record, _ = sharer.upload(message, context, k=k, n=N)
+    policy = PuzzlePolicy.from_k_of_n(k, context.questions[:N])
+    record, _ = sharer.upload_policy(message, context, policy)
     puzzle_id = service.store_upload(record)
     receiver = ReceiverC2("r", storage, params)
     displayed = service.display_puzzle(puzzle_id)

@@ -29,6 +29,7 @@ from repro.core.construction2 import SharerC2
 from repro.core.context import Context, QAPair
 from repro.crypto.params import TOY
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
 from repro.store import DictBlobStore, SegmentBlobStore, VersionedBlob
 
 NUM_BLOBS = 1000
@@ -68,10 +69,11 @@ QUESTIONS = [
 def generate_blobs(count: int) -> list[bytes]:
     """Near-identical hybrid ciphertexts from one sharer's context."""
     context = Context([QAPair(q, a) for q, a in QUESTIONS])
+    policy = PuzzlePolicy.from_k_of_n(K, context.questions[:N])
     sharer = SharerC2("alice", StorageHost(), TOY)
     blobs = []
     for i in range(count):
-        _, ciphertext = sharer.upload(b"photo %04d" % i, context, k=K, n=N)
+        _, ciphertext = sharer.upload_policy(b"photo %04d" % i, context, policy)
         blobs.append(ciphertext)
     return blobs
 

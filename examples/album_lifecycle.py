@@ -25,6 +25,7 @@ from repro.core.errors import AccessDeniedError
 from repro.core.rotation import RotatingPuzzleService, RotationPolicy
 from repro.core.throttle import ThrottledError
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
 
 
 def solve_album(service, storage, puzzle_id, knowledge, who, seed):
@@ -56,7 +57,8 @@ def main() -> None:
     service = RotatingPuzzleService(
         policy=RotationPolicy(max_releases=2), max_failures=3
     )
-    puzzle = AlbumSharer(curator).upload_album(album, context, k=2, n=4)
+    policy = PuzzlePolicy.from_k_of_n(2, context.questions)
+    puzzle = AlbumSharer(curator).upload_album(album, context, policy)
     puzzle_id = service.store_puzzle(puzzle)
     print(f"album shared as puzzle #{puzzle_id}: {sorted(album)} behind 1 puzzle")
 
@@ -89,7 +91,7 @@ def main() -> None:
     # NOTE: rotating an *album* re-encrypts the manifest; items stay put
     # (their keys derive from the old secret, so a full album rotation
     # re-uploads items too — done here via upload_album again).
-    new_puzzle = AlbumSharer(curator).upload_album(album, context, k=2, n=4)
+    new_puzzle = AlbumSharer(curator).upload_album(album, context, policy)
     storage.delete(puzzle.url)
     service.install_rotation(puzzle_id, new_puzzle)
     print("curator rotated the album puzzle (fresh secret, key, shares)")

@@ -21,6 +21,7 @@ from repro.core.construction1 import PuzzleServiceC1, ReceiverC1, SharerC1
 from repro.core.errors import AccessDeniedError
 from repro.core.picture import ImageRef, PicturePuzzleBuilder
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
 
 
 def fake_photo(label: str, seed: int) -> ImageRef:
@@ -66,7 +67,8 @@ def main() -> None:
     sharer = SharerC1("alice", storage)
     service = PuzzleServiceC1()
     album = b"<the midnight rowing album>"
-    puzzle_id = service.store_puzzle(sharer.upload(album, context, k=2, n=3))
+    policy = PuzzlePolicy.from_k_of_n(2, context.questions)
+    puzzle_id = service.store_puzzle(sharer.upload_policy(album, context, policy))
     print("shared picture puzzle #%d (3 questions, k=2)" % puzzle_id)
 
     # Bob was there: he clicks the right venue and cake photos.

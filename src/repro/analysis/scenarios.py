@@ -23,8 +23,13 @@ from repro.core.context import Context, QAPair
 from repro.crypto.bls import BlsScheme
 from repro.crypto.params import SMALL
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
 
 __all__ = ["run_standard_scenarios", "format_outcomes"]
+
+
+def _two_of_all(context: Context) -> PuzzlePolicy:
+    return PuzzlePolicy.from_k_of_n(2, context.questions)
 
 
 def _fresh_world():
@@ -40,7 +45,7 @@ def _fresh_world():
     storage = StorageHost()
     sharer = SharerC1("organizer", storage)
     service = PuzzleServiceC1()
-    puzzle = sharer.upload(obj, context, k=2, n=4)
+    puzzle = sharer.upload_policy(obj, context, _two_of_all(context))
     puzzle_id = service.store_puzzle(puzzle)
     return context, obj, storage, service, puzzle, puzzle_id
 
@@ -94,7 +99,7 @@ def run_standard_scenarios() -> list[AttackOutcome]:
     storage = StorageHost()
     bls = BlsScheme(SMALL)
     sharer = SharerC1("organizer", storage, bls=bls)
-    signed_puzzle = sharer.upload(obj, context, k=2, n=4)
+    signed_puzzle = sharer.upload_policy(obj, context, _two_of_all(context))
     outcomes.append(sp_url_tampering_c1(signed_puzzle, storage, context, bls=bls))
 
     context, obj, storage, service, puzzle, puzzle_id = _fresh_world()

@@ -25,6 +25,7 @@ from repro.core.construction1 import PuzzleServiceC1, ReceiverC1, SharerC1
 from repro.core.context import Context, QAPair
 from repro.core.errors import AccessDeniedError
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
 
 __all__ = [
     "ParticipantClass",
@@ -132,9 +133,8 @@ def simulate_user_study(
     sharer = SharerC1("study-sharer", storage)
     service = PuzzleServiceC1()
     obj = b"study payload"
-    puzzle_id = service.store_puzzle(
-        sharer.upload(obj, context, k=config.threshold, n=config.num_questions)
-    )
+    policy = PuzzlePolicy.from_k_of_n(config.threshold, context.questions)
+    puzzle_id = service.store_puzzle(sharer.upload_policy(obj, context, policy))
 
     results = []
     for participant_class in classes:

@@ -96,9 +96,7 @@ class ClusterStorageFrontend(StorageFrontend):
             except CodecError as exc:
                 count("proto.bad_message")
                 decoded.append(None)
-                reply_frames[index] = encode_message(
-                    ErrorReply(code="bad-message", message=str(exc), transient=True)
-                )
+                reply_frames[index] = encode_message(ErrorReply.from_exception(exc))
 
         get_indices = [
             index

@@ -4,9 +4,10 @@ The paper's motivating example is "sharing messages or pictures of a past
 social gathering" — usually a whole album, not one file. Rather than one
 puzzle per photo (receivers would answer the same questions repeatedly),
 an album shares ONE polynomial secret M_O: each item is encrypted under a
-per-item key derived from M_O and the item's title, and an encrypted
-*manifest* (the item titles and their DH URLs) sits behind the puzzle's
-URL_O. Solving the puzzle once unlocks the manifest and every item.
+per-item key derived from M_O and the item's title, and the *manifest*
+(the item titles and their DH URLs) is the puzzle's object O, sealed
+under K_O = H(M_O) at URL_O. Solving the puzzle once unlocks the
+manifest and every item.
 
 Security is unchanged from Construction 1: the DH stores only ciphertexts
 (manifest included), the SP sees only the puzzle, and per-item keys are
@@ -16,24 +17,30 @@ M_O nor sibling keys.
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass
 
-from repro.core.construction1 import DisplayedPuzzle, ReceiverC1, ShareRelease, SharerC1
+from repro.core.construction1 import (
+    DisplayedPuzzle,
+    ReceiverC1,
+    ShareRelease,
+    SharerC1,
+    _object_key,
+)
 from repro.core.context import Context
 from repro.core.errors import PuzzleParameterError, TamperDetectedError
 from repro.core.puzzle import Puzzle
 from repro.crypto import gibberish
 from repro.crypto.hashes import sha3_256
+from repro.policy.model import PuzzlePolicy
 from repro.util.codec import TEXT, WireRecord, pair, seq, wire
 
 __all__ = ["AlbumManifest", "AlbumSharer", "AlbumReceiver"]
 
-_MANIFEST_LABEL = b"\x00manifest"
-
 
 def _album_key(secret_m: int, label: bytes) -> bytes:
     """Per-item passphrase: H(M_O || label), domain-separated from the
-    single-object K_O = H(M_O)."""
+    manifest's K_O = H(M_O)."""
     material = secret_m.to_bytes(32, "big") + b"\x1e" + label
     return sha3_256(material).hexdigest().encode()
 
@@ -61,41 +68,28 @@ class AlbumSharer:
         self.sharer = sharer
 
     def upload_album(
-        self, items: dict[str, bytes], context: Context, k: int, n: int
+        self, items: dict[str, bytes], context: Context, policy: PuzzlePolicy
     ) -> Puzzle:
         """Encrypt every item + a manifest under one puzzle secret.
 
         ``items`` maps titles to contents; titles must be distinct and
-        non-empty.
+        non-empty. M_O is drawn here, so that the item keys can be
+        derived from it; the manifest is then the puzzle's object O.
         """
         if not items:
             raise PuzzleParameterError("an album needs at least one item")
         if any(not title.strip() for title in items):
             raise PuzzleParameterError("album item titles must be non-empty")
 
-        # Share a placeholder first to obtain the puzzle (and its secret):
-        # we need M_O before we can encrypt the items, but M_O only exists
-        # inside upload(). Instead, run the standard upload on the
-        # *manifest* and derive item keys from the same secret — which
-        # requires recovering M_O the way a receiver would. To keep the
-        # dealer honest we replicate upload()'s secret generation here.
-        from repro.crypto.polynomial import Polynomial
-
-        polynomial = Polynomial.random(self.sharer.field, k - 1)
-        secret_m = int(polynomial.constant_term())
-
+        secret_m = secrets.randbelow(self.sharer.field.p)
         manifest_items = []
         for title, content in items.items():
             encrypted = gibberish.encrypt(content, _album_key(secret_m, title.encode()))
             url = self.sharer.storage.put(encrypted)
             manifest_items.append((title, url))
         manifest = AlbumManifest(items=tuple(manifest_items))
-
-        encrypted_manifest = gibberish.encrypt(
-            manifest.to_bytes(), _album_key(secret_m, _MANIFEST_LABEL)
-        )
-        return self.sharer.upload_with_polynomial(
-            encrypted_manifest, context, k, n, polynomial
+        return self.sharer.upload_policy(
+            manifest.to_bytes(), context, policy, secret=secret_m
         )
 
 
@@ -121,7 +115,7 @@ class AlbumReceiver:
         encrypted_manifest = self.receiver.storage.get(release.url)
         try:
             manifest_bytes = gibberish.decrypt(
-                encrypted_manifest, _album_key(self._secret, _MANIFEST_LABEL)
+                encrypted_manifest, _object_key(self._secret)
             )
         except ValueError as exc:
             raise TamperDetectedError(

@@ -29,7 +29,6 @@ import random
 import secrets
 from dataclasses import dataclass
 
-from repro.abe.access_tree import AccessTree
 from repro.core.context import Context, normalize_answer
 from repro.core.errors import (
     AccessDeniedError,
@@ -45,7 +44,7 @@ from repro.crypto.hashes import sha3_256
 from repro.crypto.polynomial import Polynomial
 from repro.crypto.shamir import Share, reconstruct_secret
 from repro.osn.storage import StorageHost
-from repro.policy.compile import encode_shape, share_plan, shape_tree, solve_shape
+from repro.policy.compile import encode_shape, share_plan, solve_shape
 from repro.policy.model import PuzzlePolicy
 from repro.util.codec import (
     BLOB,
@@ -146,117 +145,66 @@ class SharerC1:
         self.bls = bls
         self.keys: BlsKeyPair | None = bls.keygen() if bls else None
 
-    def upload(self, obj: bytes, context: Context, k: int, n: int) -> Puzzle:
-        """The paper's Upload(O, k, n): encrypt, store, build Z_O.
-
-        ``n`` questions are taken from the context (n <= N) and ``k`` is
-        the knowledge threshold zeta_O.
-        """
-        if not 0 < k <= n:
-            raise PuzzleParameterError("need 0 < k <= n, got k=%d n=%d" % (k, n))
-        polynomial = Polynomial.random(self.field, k - 1)
-        object_key = _object_key(int(polynomial.constant_term()))
-        encrypted = gibberish.encrypt(obj, object_key)
-        return self.upload_with_polynomial(encrypted, context, k, n, polynomial)
-
-    def upload_with_polynomial(
-        self,
-        encrypted_obj: bytes,
-        context: Context,
-        k: int,
-        n: int,
-        polynomial: Polynomial,
-    ) -> Puzzle:
-        """Build and publish Z_O around an already-encrypted object using a
-        caller-supplied sharing polynomial.
-
-        Higher layers (e.g. :mod:`repro.core.album`) use this to derive
-        several object keys from one secret; the polynomial's constant term
-        is M_O and MUST have been generated fresh for this puzzle.
-        """
-        if not 0 < k <= n:
-            raise PuzzleParameterError("need 0 < k <= n, got k=%d n=%d" % (k, n))
-        if n > len(context):
-            raise PuzzleParameterError(
-                "puzzle needs n=%d pairs but context has only %d" % (n, len(context))
-            )
-        degree_ok = polynomial.degree == k - 1 or (
-            polynomial.degree == -1 and k == 1  # zero constant term, k=1
-        )
-        if polynomial.field != self.field or not degree_ok:
-            raise PuzzleParameterError(
-                "sharing polynomial must be over the puzzle field with degree k-1"
-            )
-
-        xs: dict[int, None] = {}  # n distinct random x, in draw order
-        while len(xs) < n:
-            xs[secrets.randbelow(self.field.p - 1) + 1] = None
-        return self._build_puzzle(
-            encrypted_obj,
-            [(pair.question, pair.answer_bytes()) for pair in context.pairs[:n]],
-            [Share(x=x, y=int(polynomial(x))) for x in xs],
-            k,
-        )
-
     def upload_policy(
-        self, obj: bytes, context: Context, policy: PuzzlePolicy
+        self,
+        obj: bytes,
+        context: Context,
+        policy: PuzzlePolicy,
+        secret: int | None = None,
     ) -> Puzzle:
-        """Upload under an arbitrary nested policy (the policy plane's
-        share-of-shares compiler).
+        """The paper's Upload(O, k, n), for any policy: encrypt O under
+        K_O = H(M_O), store it on the DH and build Z_O.
 
-        The flat ``k of (q_1..q_n)`` policy degenerates to the classic
-        :meth:`upload` artifact — same byte encoding, no shape blob — so
-        existing receivers and golden vectors are untouched. A nested
-        policy deals shares down the gate tree (fresh polynomial per
-        gate, child position as x), blinds each leaf share under its
-        question's answer exactly like a flat entry, and records the
-        label-free gate shape in the puzzle.
+        The flat policy ``k of (q_1..q_n)``
+        (:meth:`~repro.policy.model.PuzzlePolicy.from_k_of_n`) is the
+        paper's puzzle: one random degree-(k-1) polynomial with P(0) =
+        M_O, shares at n distinct random x, and no shape blob. A nested
+        policy deals shares down the gate tree instead (fresh polynomial
+        per gate, child position as x) and records the label-free gate
+        shape in the puzzle. Each leaf share is blinded under its
+        question's answer either way, and the puzzle is signed when the
+        sharer has a BLS key pair.
+
+        ``secret`` is M_O, for a caller that derives more keys from it
+        (an album's item keys); it MUST be fresh for this puzzle. By
+        default M_O is drawn at random.
         """
         policy.require_answerable(context)
+        questions = policy.questions
+        secret_m = (
+            secrets.randbelow(self.field.p) if secret is None else secret % self.field.p
+        )
         if policy.is_flat():
-            flat = context.subset(policy.questions)
-            return self.upload(obj, flat, policy.root_threshold, len(flat))
-
-        secret_m = secrets.randbelow(self.field.p)
-        encrypted = gibberish.encrypt(obj, _object_key(secret_m))
-        return self._build_puzzle(
-            encrypted,
-            [
-                (question, normalize_answer(context.answer_for(question)).encode())
-                for question in policy.questions
-            ],
-            share_plan(policy.tree, self.field, secret_m),
-            policy.root_threshold,
-            policy_shape=encode_shape(policy.tree),
-        )
-
-    def _build_puzzle(
-        self,
-        encrypted_obj: bytes,
-        pairs: list[tuple[str, bytes]],
-        shares: list[Share],
-        k: int,
-        policy_shape: bytes = b"",
-    ) -> Puzzle:
-        """Store O_{K_O}, draw K_Z, blind each share under its
-        (question, normalized answer) pair, then build Z_O — signed when
-        the sharer has a BLS key pair."""
-        url = self.storage.put(encrypted_obj)
-        puzzle_key = secrets.token_bytes(16)
-        entries = tuple(
-            PuzzleEntry(
-                question=question,
-                answer_digest=Puzzle.response_digest(answer, puzzle_key),
-                share_x=share.x,
-                blinded_share=blind_share(
-                    share, self.field, answer, puzzle_key, index
-                ),
+            polynomial = Polynomial.random(
+                self.field, policy.root_threshold - 1, constant_term=secret_m
             )
-            for index, ((question, answer), share) in enumerate(zip(pairs, shares))
-        )
+            xs: dict[int, None] = {}  # n distinct random x, in draw order
+            while len(xs) < len(questions):
+                xs[secrets.randbelow(self.field.p - 1) + 1] = None
+            shares = [Share(x=x, y=int(polynomial(x))) for x in xs]
+            policy_shape = b""
+        else:
+            shares = share_plan(policy.tree, self.field, secret_m)
+            policy_shape = encode_shape(policy.tree)
+
+        url = self.storage.put(gibberish.encrypt(obj, _object_key(secret_m)))
+        puzzle_key = secrets.token_bytes(16)
+        entries = []
+        for index, (question, share) in enumerate(zip(questions, shares)):
+            answer = normalize_answer(context.answer_for(question)).encode()
+            entries.append(
+                PuzzleEntry(
+                    question=question,
+                    answer_digest=Puzzle.response_digest(answer, puzzle_key),
+                    share_x=share.x,
+                    blinded_share=blind_share(
+                        share, self.field, answer, puzzle_key, index
+                    ),
+                )
+            )
         puzzle = Puzzle(
-            entries=entries,
-            k=k,
+            entries=tuple(entries),
+            k=policy.root_threshold,
             puzzle_key=puzzle_key,
             url=url,
             sharer_name=self.name,
@@ -279,17 +227,8 @@ class PuzzleServiceC1(PuzzleService):
         """Accept an uploaded Z_O; returns its post/puzzle identifier."""
         self.audit.record(puzzle.to_bytes())
         puzzle_id = self._allocate_id()
-        self._registrations[puzzle_id] = puzzle
+        self._install(puzzle_id, puzzle)
         return puzzle_id
-
-    def question_tree(self, puzzle_id: int) -> AccessTree:
-        """The question-level policy tree of a stored puzzle: the gate
-        shape re-labeled with the questions (nested), or the implicit
-        height-1 ``k of (questions)`` gate (flat)."""
-        puzzle = self._lookup(puzzle_id)
-        if puzzle.policy_shape:
-            return shape_tree(puzzle.policy_shape, puzzle.questions)
-        return AccessTree.k_of_n(puzzle.k, puzzle.questions)
 
     def _matched_questions(self, answers: PuzzleAnswers) -> set[str]:
         puzzle = self._lookup(answers.puzzle_id)
@@ -324,49 +263,24 @@ class PuzzleServiceC1(PuzzleService):
             k=puzzle.k,
         )
 
-    def _release(self, answers: PuzzleAnswers) -> ShareRelease:
-        """Release blinded shares iff the policy holds.
-
-        Flat puzzles keep the paper's rule — >= k hashes match. A puzzle
-        carrying a policy shape instead evaluates the gate tree over the
-        matched questions (still hashes only).
-        """
+    def _grant(self, answers: PuzzleAnswers, matched: set[str]) -> ShareRelease:
+        """The blinded shares of the matched questions, plus URL_O and
+        the gate shape the receiver reconstructs along."""
         puzzle = self._lookup(answers.puzzle_id)
-        self.audit.record(
-            b"".join(q.encode() + d for q, d in answers.digests.items())
-        )
-        released: list[ReleasedShare] = []
-        for question, digest in answers.digests.items():
-            try:
-                entry = puzzle.entry_for(question)
-            except KeyError:
-                continue
-            if entry.answer_digest == digest:
-                released.append(
-                    ReleasedShare(
-                        question=question,
-                        entry_index=puzzle.entries.index(entry),
-                        share_x=entry.share_x,
-                        blinded_share=entry.blinded_share,
-                    )
-                )
-        if puzzle.policy_shape:
-            tree = shape_tree(puzzle.policy_shape, puzzle.questions)
-            if not tree.satisfied_by({r.question for r in released}):
-                raise AccessDeniedError(
-                    "the %d verified answers do not satisfy the puzzle policy"
-                    % len(released)
-                )
-        elif len(released) < puzzle.k:
-            raise AccessDeniedError(
-                "only %d of the required %d answers verified"
-                % (len(released), puzzle.k)
-            )
         return ShareRelease(
             puzzle_id=answers.puzzle_id,
             k=puzzle.k,
             url=puzzle.url,
-            shares=tuple(released),
+            shares=tuple(
+                ReleasedShare(
+                    question=entry.question,
+                    entry_index=index,
+                    share_x=entry.share_x,
+                    blinded_share=entry.blinded_share,
+                )
+                for index, entry in enumerate(puzzle.entries)
+                if entry.question in matched
+            ),
             policy_shape=puzzle.policy_shape,
         )
 

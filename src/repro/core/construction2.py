@@ -56,6 +56,8 @@ from repro.crypto.ec import CurveParams
 from repro.crypto.hashes import new as new_hash
 from repro.crypto.modes import IntegrityError
 from repro.osn.storage import AuditTrail, StorageHost
+from repro.policy.compile import compile_tree_c2
+from repro.policy.model import PuzzlePolicy
 from repro.util.codec import (
     BLOB,
     TEXT,
@@ -187,6 +189,15 @@ class C2Upload(WireRecord):
     url: str = wire(TEXT)
     sharer_name: str = wire(TEXT)
 
+    def policy(self) -> PuzzlePolicy:
+        """tau' with every leaf reduced to its question: the policy over
+        questions. A tree with two leaves for one question has none and
+        raises :class:`~repro.policy.model.PolicyError`, because the SP
+        matches answers per question."""
+        return PuzzlePolicy(
+            self.tree_perturbed.relabel(lambda attribute: split_attribute(attribute)[0])
+        )
+
     def file_sizes(self) -> dict[str, int]:
         return {
             "details.txt": len(encode_access_tree(self.tree_perturbed)),
@@ -243,43 +254,26 @@ class SharerC2:
         self.legacy_unperturbed_ciphertext = legacy_unperturbed_ciphertext
         self.abe = CPABE(params)
 
-    def build_tree(self, context: Context, k: int, n: int | None = None) -> AccessTree:
-        """The height-1 tree of Fig. 3: root k-of-n over QA attributes."""
-        n = len(context) if n is None else n
-        if not 0 < k <= n:
-            raise PuzzleParameterError("need 0 < k <= n, got k=%d n=%d" % (k, n))
-        if n > len(context):
-            raise PuzzleParameterError(
-                "tree needs n=%d pairs but context has only %d" % (n, len(context))
-            )
-        if (k, n) == (1, 1):
-            # The paper: "CP-ABE does not support (1,1) threshold" — the
-            # toolkit rejects a single-child root, so observations start
-            # at N = 2. We keep the restriction for fidelity.
-            raise PuzzleParameterError("CP-ABE does not support a (1, 1) threshold")
-        attributes = [
-            leaf_attribute(pair.question, pair.answer) for pair in context.pairs[:n]
-        ]
-        return AccessTree.k_of_n(k, attributes)
+    def upload_policy(
+        self, obj: bytes, context: Context, policy: PuzzlePolicy
+    ) -> tuple[C2Upload, bytes]:
+        """Setup + Encrypt + Perturb + store, for any policy.
 
-    def upload(self, obj: bytes, context: Context, k: int, n: int | None = None) -> tuple[C2Upload, bytes]:
-        """Setup + Encrypt + Perturb + store (the paper's height-1 tree).
+        Every requirement leaf becomes a (question, answer) attribute and
+        the tree goes straight into CP-ABE ``Encrypt``: the flat policy
+        ``k of (q_1..q_n)`` is the paper's height-1 tree of Fig. 3, and
+        nested AND/OR/threshold gates are an extension past the paper
+        (the SP's Verify evaluates the same tree over hashed answers).
 
         Returns the SP-bound record and the ciphertext bytes bound for the
         DH (already stored; bytes returned for cost accounting).
         """
-        return self.upload_tree(obj, self.build_tree(context, k, n))
-
-    def upload_tree(self, obj: bytes, tree: AccessTree) -> tuple[C2Upload, bytes]:
-        """Like :meth:`upload` but for an arbitrary QA-policy tree.
-
-        Every leaf must be a (question, answer) attribute built with
-        :func:`leaf_attribute` — nested AND/OR/threshold gates over them
-        are allowed (an extension past the paper's flat puzzles; the
-        generalized Verify evaluates the same tree over hashed answers).
-        """
-        for attribute in tree.attributes():
-            split_attribute(attribute)  # raises on malformed leaves
+        if policy.is_flat() and policy.root_threshold == len(policy.questions) == 1:
+            # The paper: "CP-ABE does not support (1,1) threshold" — the
+            # toolkit rejects a single-child root, so observations start
+            # at N = 2. We keep the restriction for fidelity.
+            raise PuzzleParameterError("CP-ABE does not support a (1, 1) threshold")
+        tree = compile_tree_c2(policy, context)
         pk, mk = self.abe.setup()
         ciphertext = self.abe.encrypt_bytes(pk, obj, tree)
 
@@ -298,25 +292,6 @@ class SharerC2:
             sharer_name=self.name,
         )
         return record, ct_bytes
-
-    def upload_policy(
-        self, obj: bytes, context: Context, policy
-    ) -> tuple[C2Upload, bytes]:
-        """Upload under a :class:`~repro.policy.model.PuzzlePolicy`.
-
-        C2's compiler is a relabeling: every requirement leaf becomes a
-        (question, answer) attribute and the nested tree goes straight
-        into CP-ABE ``Encrypt``. The flat degenerate case keeps the
-        paper's (1, 1) fidelity restriction from :meth:`build_tree`.
-        """
-        from repro.policy.compile import compile_tree_c2
-
-        if policy.is_flat() and (
-            policy.root_threshold,
-            len(policy.questions),
-        ) == (1, 1):
-            raise PuzzleParameterError("CP-ABE does not support a (1, 1) threshold")
-        return self.upload_tree(obj, compile_tree_c2(policy, context))
 
 
 class PuzzleServiceC2(PuzzleService):
@@ -341,18 +316,12 @@ class PuzzleServiceC2(PuzzleService):
         self.audit.record(record.mk_bytes)
         self.audit.record(record.url.encode())
         puzzle_id = self._allocate_id()
-        self._registrations[puzzle_id] = replace(record, puzzle_id=puzzle_id)
+        self._install(puzzle_id, replace(record, puzzle_id=puzzle_id))
         return puzzle_id
 
-    def question_tree(self, puzzle_id: int) -> AccessTree:
-        """tau' with every leaf reduced to its question — the policy
-        structure an explain trace may legitimately reveal."""
-        record = self._lookup(puzzle_id)
-        return record.tree_perturbed.relabel(
-            lambda attribute: split_attribute(attribute)[0]
-        )
-
     def _matched_questions(self, answers: PuzzleAnswersC2) -> set[str]:
+        """Match hashed answers against the hashes embedded in tau' —
+        only hashes, so surveillance resistance is unchanged."""
         record = self._lookup(answers.puzzle_id)
         matched: set[str] = set()
         for attribute in record.tree_perturbed.attributes():
@@ -364,44 +333,16 @@ class PuzzleServiceC2(PuzzleService):
         return matched
 
     def display_puzzle(self, puzzle_id: int) -> DisplayedPuzzleC2:
-        record = self._lookup(puzzle_id)
-        root = record.tree_perturbed.root
-        questions = tuple(
-            split_attribute(attr)[0] for attr in record.tree_perturbed.attributes()
-        )
-        threshold = getattr(root, "threshold", 1)
+        policy = self._policy(puzzle_id)
         return DisplayedPuzzleC2(
-            puzzle_id=puzzle_id, questions=questions, threshold=threshold
+            puzzle_id=puzzle_id,
+            questions=policy.questions,
+            threshold=policy.root_threshold,
         )
 
-    def _release(self, answers: PuzzleAnswersC2) -> AccessGrantC2:
-        """Match hashed answers against the hashes embedded in tau'.
-
-        For the paper's height-1 trees this is the threshold count of
-        section V-B; for general trees (nested AND/OR/threshold policies)
-        the SP evaluates satisfiability of tau' over the *matched* leaves —
-        still using only hashes, so surveillance resistance is unchanged.
-        """
+    def _grant(self, answers: PuzzleAnswersC2, matched: set[str]) -> AccessGrantC2:
+        """Where CT' lives, plus PK and MK."""
         record = self._lookup(answers.puzzle_id)
-        self.audit.record(
-            b"".join(q.encode() + d.encode() for q, d in answers.digests.items())
-        )
-        matched_attributes: set[str] = set()
-        matches = 0
-        for attribute in record.tree_perturbed.attributes():
-            question, rest = split_attribute(attribute)
-            if not rest.startswith(_HASH_PREFIX):
-                continue
-            digest = rest[len(_HASH_PREFIX) :]
-            if answers.digests.get(question) == digest:
-                matched_attributes.add(attribute)
-                matches += 1
-        if not record.tree_perturbed.satisfied_by(matched_attributes):
-            threshold = getattr(record.tree_perturbed.root, "threshold", 1)
-            raise AccessDeniedError(
-                "only %d of the required %d answers verified"
-                % (matches, threshold)
-            )
         return AccessGrantC2(
             puzzle_id=answers.puzzle_id,
             url=record.url,

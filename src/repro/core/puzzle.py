@@ -44,6 +44,8 @@ from repro.crypto.field import PrimeField
 from repro.crypto.kdf import hkdf
 from repro.crypto.mac import keyed_hash
 from repro.crypto.shamir import Share
+from repro.policy.compile import shape_tree
+from repro.policy.model import PuzzlePolicy
 from repro.util.codec import (
     BLOB,
     TAIL_BLOB,
@@ -141,6 +143,14 @@ class Puzzle(WireRecord):
     @property
     def questions(self) -> list[str]:
         return [e.question for e in self.entries]
+
+    def policy(self) -> PuzzlePolicy:
+        """The puzzle's policy over its questions: the gate shape
+        re-labeled with them (nested), or the paper's ``k of
+        (q_1..q_n)`` (flat)."""
+        if self.policy_shape:
+            return PuzzlePolicy(shape_tree(self.policy_shape, self.questions))
+        return PuzzlePolicy.from_k_of_n(self.k, self.questions)
 
     def entry_for(self, question: str) -> PuzzleEntry:
         for entry in self.entries:

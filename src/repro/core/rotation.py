@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.construction1 import PuzzleServiceC1, SharerC1
-from repro.core.construction2 import C2Upload, PuzzleServiceC2, SharerC2, split_attribute
+from repro.core.construction2 import C2Upload, PuzzleServiceC2, SharerC2
 from repro.core.context import Context
-from repro.core.errors import PuzzleParameterError, UnknownPuzzleError
+from repro.core.errors import PuzzleParameterError
 from repro.core.puzzle import Puzzle
 
 __all__ = [
@@ -46,10 +46,10 @@ def rotate_puzzle(
     """Produce a freshly keyed replacement for ``old_puzzle``.
 
     The sharer must still hold the object and its context (the paper's
-    sharer-side rotation). The new puzzle keeps k and n, but every secret
-    component is regenerated.
+    sharer-side rotation). The new puzzle keeps the old one's policy, but
+    every secret component is regenerated.
     """
-    new_puzzle = sharer.upload(obj, context, k=old_puzzle.k, n=old_puzzle.n)
+    new_puzzle = sharer.upload_policy(obj, context, old_puzzle.policy())
     if delete_old_object:
         sharer.storage.delete(old_puzzle.url)
     if new_puzzle.puzzle_key == old_puzzle.puzzle_key:
@@ -62,17 +62,16 @@ def rotate_upload_c2(
     old_record: C2Upload,
     obj: bytes,
     context: Context,
-    k: int,
-    n: int | None = None,
     delete_old_object: bool = True,
 ) -> tuple[C2Upload, bytes]:
-    """Construction 2 rotation: a fresh CP-ABE Setup (new alpha/beta, new
-    PK/MK), fresh encryption randomness, a new ciphertext at a new URL.
+    """Construction 2 rotation under the old record's policy: a fresh
+    CP-ABE Setup (new alpha/beta, new PK/MK), fresh encryption
+    randomness, a new ciphertext at a new URL.
 
     Hoarded master keys and ciphertexts from before the rotation become
     useless; the context (and therefore receivers' answers) stays put.
     """
-    record, ct_bytes = sharer.upload(obj, context, k=k, n=n)
+    record, ct_bytes = sharer.upload_policy(obj, context, old_record.policy())
     if delete_old_object:
         sharer.storage.delete(old_record.url)
     if record.mk_bytes == old_record.mk_bytes:
@@ -80,24 +79,23 @@ def rotate_upload_c2(
     return record, ct_bytes
 
 
+def _install_rotated(service, puzzle_id: int, registration) -> None:
+    """Swap a re-keyed registration in under an existing puzzle id, so
+    existing hyperlinks keep working; it must keep the puzzle's policy."""
+    if registration.policy() != service._policy(puzzle_id):
+        raise PuzzleParameterError(
+            "rotation must keep the puzzle's policy (the context is fixed)"
+        )
+    service._install(puzzle_id, registration)
+
+
 def install_rotation_c2(
     service: PuzzleServiceC2, puzzle_id: int, new_record: C2Upload
 ) -> None:
     """Swap a rotated C2 upload in under an existing puzzle id."""
-    old = service._lookup(puzzle_id)
-    if new_record.mk_bytes == old.mk_bytes:
+    if new_record.mk_bytes == service._lookup(puzzle_id).mk_bytes:
         raise PuzzleParameterError("replacement upload was not re-keyed")
-    old_questions = {
-        split_attribute(a)[0] for a in old.tree_perturbed.attributes()
-    }
-    new_questions = {
-        split_attribute(a)[0] for a in new_record.tree_perturbed.attributes()
-    }
-    if old_questions != new_questions:
-        raise PuzzleParameterError(
-            "rotation must preserve the question set (the context is fixed)"
-        )
-    service._registrations[puzzle_id] = replace(new_record, puzzle_id=puzzle_id)
+    _install_rotated(service, puzzle_id, replace(new_record, puzzle_id=puzzle_id))
 
 
 @dataclass
@@ -131,8 +129,8 @@ class RotatingPuzzleService(PuzzleServiceC1):
         self.policy = policy if policy is not None else RotationPolicy()
         self._releases: dict[int, int] = {}
 
-    def _release(self, answers):
-        release = super()._release(answers)
+    def _grant(self, answers, matched):
+        release = super()._grant(answers, matched)
         self._releases[answers.puzzle_id] = (
             self._releases.get(answers.puzzle_id, 0) + 1
         )
@@ -147,15 +145,8 @@ class RotatingPuzzleService(PuzzleServiceC1):
 
     def install_rotation(self, puzzle_id: int, new_puzzle: Puzzle) -> None:
         """Swap in a rotated puzzle under the existing identifier."""
-        old = self._lookup(puzzle_id)
-        if old.puzzle_key == new_puzzle.puzzle_key:
+        if self._lookup(puzzle_id).puzzle_key == new_puzzle.puzzle_key:
             raise PuzzleParameterError("replacement puzzle was not re-keyed")
-        if {e.question for e in old.entries} != {
-            e.question for e in new_puzzle.entries
-        }:
-            raise PuzzleParameterError(
-                "rotation must preserve the question set (the context is fixed)"
-            )
+        _install_rotated(self, puzzle_id, new_puzzle)
         self.audit.record(new_puzzle.to_bytes())
-        self._registrations[puzzle_id] = new_puzzle
         self._releases[puzzle_id] = 0

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.errors import UnknownPuzzleError
+from repro.core.errors import AccessDeniedError, UnknownPuzzleError
 from repro.core.throttle import GuessThrottle
 from repro.osn.storage import AuditTrail
 from repro.policy.explain import Explanation, explain_tree
+from repro.policy.model import PuzzlePolicy
 
 __all__ = ["PuzzleService"]
 
@@ -25,12 +26,14 @@ class PuzzleService:
     policy texts echoed by Explain, the two-phase retract saga, and
     Verify/Explain under the optional guess budget.
 
-    A construction service defines how a puzzle is stored and displayed
-    plus three hooks: ``question_tree(puzzle_id)`` (the policy tree with
-    every leaf reduced to its question — what an explain trace may
-    reveal), ``_matched_questions(answers)`` (the questions whose hashed
-    answer matches) and ``_release(answers)`` (the release rule: the
-    construction's reply, or :class:`AccessDeniedError`).
+    A registration (a Z_O or a C2 upload record) names its own policy
+    over questions, ``registration.policy()``; the service derives it
+    once, when the registration is installed. A construction service
+    defines how a puzzle is stored and displayed plus two hooks:
+    ``_matched_questions(answers)`` (the questions whose hashed answer
+    matches) and ``_grant(answers, matched)`` (the construction's reply
+    once the policy holds). The release rule itself is :meth:`_release`,
+    written once.
 
     ``max_failures`` turns on the online-guessing budget: Verify and
     Explain then run under a :class:`~repro.core.throttle.GuessThrottle`,
@@ -48,8 +51,9 @@ class PuzzleService:
         self.throttle = (
             GuessThrottle(max_failures) if max_failures is not None else None
         )
-        self._registrations: dict[int, object] = {}
-        self._retracting: dict[int, object] = {}
+        # puzzle id -> (registration, its question-level policy)
+        self._registrations: dict[int, tuple[object, PuzzlePolicy]] = {}
+        self._retracting: dict[int, tuple[object, PuzzlePolicy]] = {}
         self._policy_texts: dict[int, str] = {}
         self._serial = 0
         # Guards identifier allocation only: concurrent store calls (the
@@ -65,12 +69,25 @@ class PuzzleService:
             self._serial += 1
             return self._serial
 
-    def _lookup(self, puzzle_id: int):
-        """The live registration (a Z_O or a C2 upload record)."""
+    def _install(self, puzzle_id: int, registration) -> None:
+        """Serve ``registration`` under ``puzzle_id``. Its question-level
+        policy is derived here, once: Verify decides on it and Explain
+        traces it."""
+        self._registrations[puzzle_id] = (registration, registration.policy())
+
+    def _entry(self, puzzle_id: int) -> tuple[object, PuzzlePolicy]:
         try:
             return self._registrations[puzzle_id]
         except KeyError:
             raise UnknownPuzzleError(puzzle_id) from None
+
+    def _lookup(self, puzzle_id: int):
+        """The live registration (a Z_O or a C2 upload record)."""
+        return self._entry(puzzle_id)[0]
+
+    def _policy(self, puzzle_id: int) -> PuzzlePolicy:
+        """The live registration's question-level policy."""
+        return self._entry(puzzle_id)[1]
 
     def puzzle_count(self) -> int:
         return len(self._registrations)
@@ -102,7 +119,8 @@ class PuzzleService:
     def verify(self, answers, requester: str = ""):
         """Verify(u, h_1..h_r): release iff the hashed answers satisfy the
         puzzle policy, else raise :class:`AccessDeniedError` with no
-        partial information (the paper: "SP does not send anything").
+        partial information (the paper: "SP does not send anything"):
+        every denial of every puzzle carries the same text.
 
         With a guess budget, a locked-out or over-budget requester gets
         :class:`~repro.core.throttle.ThrottledError` before any answer is
@@ -134,10 +152,22 @@ class PuzzleService:
             attempt.granted = explanation.granted
         return explanation
 
+    def _release(self, answers):
+        """The release rule of both constructions: match the hashed
+        answers once, decide on the registration's question-level policy,
+        and only then ask the construction for its reply."""
+        matched = self._matched_questions(answers)
+        self.audit.record(answers.to_bytes())
+        if not self._policy(answers.puzzle_id).satisfied_by(matched):
+            # One text for every denial: no count tells a guesser how
+            # many of its answers were right.
+            raise AccessDeniedError("the answers do not satisfy the puzzle policy")
+        return self._grant(answers, matched)
+
     def _explain(self, answers) -> Explanation:
         matched = self._matched_questions(answers)
         return explain_tree(
-            self.question_tree(answers.puzzle_id),
+            self._policy(answers.puzzle_id).tree,
             matched,
             construction=self.construction,
             puzzle_id=answers.puzzle_id,
@@ -153,11 +183,11 @@ class PuzzleService:
         preparing an already-prepared puzzle returns the same URL.
         Unknown ids raise :class:`UnknownPuzzleError`."""
         if puzzle_id in self._retracting:
-            return self._retracting[puzzle_id].url
-        registration = self._lookup(puzzle_id)
-        self._retracting[puzzle_id] = registration
+            return self._retracting[puzzle_id][0].url
+        entry = self._entry(puzzle_id)
+        self._retracting[puzzle_id] = entry
         del self._registrations[puzzle_id]
-        return registration.url
+        return entry[0].url
 
     def commit_retract(self, puzzle_id: int) -> bool:
         """Saga phase 2: discard the prepared registration for good;
@@ -170,10 +200,10 @@ class PuzzleService:
     def abort_retract(self, puzzle_id: int) -> bool:
         """Saga rollback: restore a prepared registration, exactly as it
         was before the prepare; returns whether one was pending."""
-        registration = self._retracting.pop(puzzle_id, None)
-        if registration is None:
+        entry = self._retracting.pop(puzzle_id, None)
+        if entry is None:
             return False
-        self._registrations[puzzle_id] = registration
+        self._registrations[puzzle_id] = entry
         return True
 
     def pending_retracts(self) -> list[int]:

@@ -75,10 +75,10 @@ def snapshot_platform(platform: SocialPuzzlePlatform) -> dict:
 
     c1 = {
         str(puzzle_id): _b64(puzzle.to_bytes())
-        for puzzle_id, puzzle in platform.app_c1.service._registrations.items()
+        for puzzle_id, (puzzle, _) in platform.app_c1.service._registrations.items()
     }
     c2 = {}
-    for puzzle_id, record in platform.app_c2.service._registrations.items():
+    for puzzle_id, (record, _) in platform.app_c2.service._registrations.items():
         c2[str(puzzle_id)] = {
             "tree": _b64(encode_access_tree(record.tree_perturbed)),
             "pk": _b64(record.pk_bytes),
@@ -143,12 +143,12 @@ def restore_platform(snapshot: dict) -> SocialPuzzlePlatform:
 
     c1_service = platform.app_c1.service
     for puzzle_id, encoded in snapshot["c1_puzzles"].items():
-        c1_service._registrations[int(puzzle_id)] = Puzzle.from_bytes(_unb64(encoded))
+        c1_service._install(int(puzzle_id), Puzzle.from_bytes(_unb64(encoded)))
     c1_service._serial = max((int(i) for i in snapshot["c1_puzzles"]), default=0)
 
     c2_service = platform.app_c2.service
     for puzzle_id, entry in snapshot["c2_puzzles"].items():
-        c2_service._registrations[int(puzzle_id)] = C2Upload(
+        record = C2Upload(
             puzzle_id=int(puzzle_id),
             tree_perturbed=decode_access_tree(_unb64(entry["tree"])),
             pk_bytes=_unb64(entry["pk"]),
@@ -156,6 +156,7 @@ def restore_platform(snapshot: dict) -> SocialPuzzlePlatform:
             url=entry["url"],
             sharer_name=entry["sharer"],
         )
+        c2_service._install(int(puzzle_id), record)
     c2_service._serial = max((int(i) for i in snapshot["c2_puzzles"]), default=0)
 
     return platform

@@ -196,12 +196,12 @@ def solve_shape(
 def compile_tree_c2(policy: PuzzlePolicy, context: Context) -> AccessTree:
     """Relabel requirement leaves into (question, answer) attributes.
 
-    The resulting tree goes directly into ``SharerC2.upload_tree`` —
-    ``Encrypt`` and the generalized ``Verify`` already handle arbitrary
+    ``SharerC2.upload_policy`` encrypts under the resulting tree —
+    ``Encrypt`` and the SP's one release rule already handle arbitrary
     monotone trees, so C2's compiler is exactly this relabeling.
     """
-    # Imported lazily: construction2 is a higher layer that may itself
-    # import the policy package at module scope.
+    # Imported lazily: construction2 is a higher layer that imports this
+    # module at module scope.
     from repro.core.construction2 import leaf_attribute
 
     policy.require_answerable(context)

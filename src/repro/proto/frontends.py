@@ -53,9 +53,7 @@ def serve(request: bytes, handler: Callable[[Message], Message]) -> bytes:
         message = decode_message(request)
     except CodecError as exc:
         count("proto.bad_message")
-        reply: Message = ErrorReply(
-            code="bad-message", message=str(exc), transient=True
-        )
+        reply: Message = ErrorReply.from_exception(exc)
     else:
         try:
             reply = handler(message)

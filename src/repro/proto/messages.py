@@ -13,9 +13,12 @@ equals the ``byte_size()`` the cost meter charges — the wire layer adds
 only the envelope.
 
 Any failure while a body is decoded — a truncated field, an artifact's
-own validation, a malformed access tree — leaves :func:`decode_message`
-as :class:`~repro.util.codec.CodecError`, which the serve loop answers
-with a transient ``bad-message`` reply.
+own validation, a malformed access tree, a construction byte other than
+1 or 2 — leaves :func:`decode_message` as
+:class:`~repro.util.codec.CodecError`, which the serve loop answers with
+a transient ``bad-message`` reply. A handler that finds a field
+malformed only after decoding (a C2 digest that is not ASCII, an rng
+state ``random`` rejects) raises the same error and gets the same reply.
 
 Failures cross the wire as :class:`ErrorReply`, which round-trips the
 repository's exception taxonomy (:mod:`repro.core.errors`) by stable
@@ -58,7 +61,6 @@ from repro.util.codec import (
     BLOB,
     BOOL,
     TEXT,
-    U8,
     U32,
     CodecError,
     Kind,
@@ -67,6 +69,7 @@ from repro.util.codec import (
     mapping,
     record,
     seq,
+    u8,
     wire,
 )
 
@@ -188,6 +191,17 @@ def rng_from_state(state: _RngState | None) -> random.Random | None:
     return rng
 
 
+def _read_construction(reader: Reader) -> int:
+    construction = reader.u8()
+    if construction not in (1, 2):
+        raise CodecError("unknown construction %d" % construction)
+    return construction
+
+
+# The construction byte of a request: only 1 (Shamir) and 2 (CP-ABE) decode.
+_CONSTRUCTION = Kind(u8, _read_construction)
+
+
 # -- requests ----------------------------------------------------------------
 
 
@@ -215,7 +229,7 @@ class DisplayPuzzleRequest(Message):
     """DisplayPuzzle: ask the SP for the question subset."""
 
     TYPE = 0x03
-    construction: int = wire(U8)
+    construction: int = wire(_CONSTRUCTION)
     puzzle_id: int = wire(U32)
     rng_state: _RngState | None = wire(_RNG_STATE, default=None)
 
@@ -230,7 +244,7 @@ class _AnswerEvidence(Message):
     when the service enforces one.
     """
 
-    construction: int = wire(U8)
+    construction: int = wire(_CONSTRUCTION)
     puzzle_id: int = wire(U32)
     requester: str = wire(TEXT)
     digests: dict[str, bytes] = wire(mapping(TEXT, BLOB), default_factory=dict)
@@ -268,7 +282,7 @@ class AnswerSubmission(_AnswerEvidence):
 class _PuzzleRef(Message):
     """The body the retract verbs share: which construction, which puzzle."""
 
-    construction: int = wire(U8)
+    construction: int = wire(_CONSTRUCTION)
     puzzle_id: int = wire(U32)
 
 
@@ -371,7 +385,7 @@ class SharePolicyRequest(Message):
     """
 
     TYPE = 0x11
-    construction: int = wire(U8)
+    construction: int = wire(_CONSTRUCTION)
     puzzle_id: int = wire(U32)
     policy_text: str = wire(TEXT)
 
@@ -617,11 +631,13 @@ def _error_registry() -> list[tuple[str, type[BaseException]]]:
 class ErrorReply(Message):
     """A failure crossing the wire, typed by taxonomy code.
 
-    ``bad-message`` (transient) marks a request frame the server could
-    not decode; ``internal`` marks an unrecognized server-side exception
-    and is deliberately NOT a :class:`SocialPuzzleError` on re-raise, so
-    atomic-share handling wraps it in :class:`ShareFailedError` exactly
-    as it would a local untyped bug.
+    ``bad-message`` (transient) marks a malformed request: a frame the
+    server could not decode, or a field found invalid after decoding
+    (any :class:`~repro.util.codec.CodecError`). ``internal`` marks an
+    unrecognized server-side exception and is deliberately NOT a
+    :class:`SocialPuzzleError` on re-raise, so atomic-share handling
+    wraps it in :class:`ShareFailedError` exactly as it would a local
+    untyped bug.
     """
 
     TYPE = 0x7F
@@ -631,6 +647,9 @@ class ErrorReply(Message):
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "ErrorReply":
+        if isinstance(exc, CodecError):
+            # A malformed request, found while decoding or after.
+            return cls(code="bad-message", message=str(exc), transient=True)
         for code, klass in _error_registry():
             if isinstance(exc, klass):
                 return cls(

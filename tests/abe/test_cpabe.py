@@ -11,6 +11,7 @@ from repro.abe.access_tree import AccessTree
 from repro.abe.cpabe import CPABE, AbeError, MasterKey, PolicyNotSatisfiedError, PublicKey
 from repro.abe.serialize import decode_public_key
 from repro.crypto.params import SMALL, TOY
+from tests.conftest import k_of_n
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ class TestGeneratorMemo:
         storage = StorageHost()
         for _ in range(50):
             sharer = SharerC2("alice", storage, SMALL)
-            record, _ = sharer.upload(b"object", context, k=1)
+            record, _ = sharer.upload_policy(b"object", context, k_of_n(1, context))
             generators.add(decode_public_key(SMALL, record.pk_bytes).g)
         assert set(cpabe._GENERATORS) - before <= {SMALL}
         (g,) = generators
@@ -83,9 +84,11 @@ class TestGeneratorMemo:
         from repro.osn.storage import StorageHost
 
         context = Context.from_mapping({"Where?": "Lisbon", "Who?": "Teodora"})
-        SharerC2("alice", StorageHost(), SMALL).upload(b"warm", context, k=1)
+        SharerC2("alice", StorageHost(), SMALL).upload_policy(
+            b"warm", context, k_of_n(1, context)
+        )
         sharer = SharerC2("alice", StorageHost(), SMALL)
-        sharer.upload(b"object", context, k=2)
+        sharer.upload_policy(b"object", context, k_of_n(2, context))
         assert sharer.abe.pairing.op_counts["final_exps"] == 0
         assert sharer.abe.pairing.op_counts["miller_loops"] == 0
 

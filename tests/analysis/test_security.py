@@ -19,6 +19,7 @@ from repro.core.context import Context
 from repro.crypto.bls import BlsScheme
 from repro.crypto.params import TOY
 from repro.osn.storage import StorageHost
+from tests.conftest import k_of_n
 
 
 @pytest.fixture()
@@ -26,7 +27,9 @@ def c1_world(party_context, secret_object):
     storage = StorageHost()
     sharer = SharerC1("sharer-user", storage)
     service = PuzzleServiceC1()
-    puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+    puzzle = sharer.upload_policy(
+        secret_object, party_context, k_of_n(2, party_context, 4)
+    )
     puzzle_id = service.store_puzzle(puzzle)
     return storage, service, puzzle, puzzle_id
 
@@ -79,7 +82,9 @@ class TestDictionaryAttacks:
         storage = StorageHost()
         sharer = SharerC2("s", storage, TOY)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload(secret_object, party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
         puzzle_id = service.store_upload(record)
         vocabulary = {
             pair.question: ["decoy", pair.answer] for pair in party_context
@@ -93,7 +98,9 @@ class TestDictionaryAttacks:
         storage = StorageHost()
         sharer = SharerC2("s", storage, TOY)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload(secret_object, party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
         puzzle_id = service.store_upload(record)
         first_question = party_context.questions[0]
         vocabulary = {first_question: [party_context.answer_for(first_question)]}
@@ -164,7 +171,9 @@ class TestTampering:
     def test_unsigned_url_tampering_lands_dos(self, party_context, secret_object):
         storage = StorageHost()
         sharer = SharerC1("s", storage)
-        puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         outcome = sp_url_tampering_c1(puzzle, storage, party_context, bls=None)
         assert outcome.succeeded  # DOS lands when puzzles are unsigned
 
@@ -172,7 +181,9 @@ class TestTampering:
         storage = StorageHost()
         bls = BlsScheme(TOY)
         sharer = SharerC1("s", storage, bls=bls)
-        puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         outcome = sp_url_tampering_c1(puzzle, storage, party_context, bls=bls)
         assert not outcome.succeeded
         assert "detected" in outcome.detail

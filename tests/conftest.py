@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.core.context import Context
 from repro.crypto.params import SMALL, TOY
+from repro.policy.model import PuzzlePolicy
 
 # Property tests run real crypto; keep examples modest and disable the
 # per-example deadline (pairing operations are milliseconds each).
@@ -17,6 +18,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def k_of_n(k: int, context: Context, n: int | None = None) -> PuzzlePolicy:
+    """The paper's flat puzzle: ``k`` of the first ``n`` context questions
+    (all of them by default)."""
+    return PuzzlePolicy.from_k_of_n(k, context.questions[:n])
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from repro.core.errors import (
     TamperDetectedError,
 )
 from repro.osn.storage import StorageHost
+from tests.conftest import k_of_n
 
 ITEMS = {
     "sunrise.jpg": b"<jpeg bytes: sunrise over the jetty>",
@@ -27,7 +28,7 @@ def world(party_context):
     storage = StorageHost()
     sharer = AlbumSharer(SharerC1("curator", storage))
     service = PuzzleServiceC1()
-    puzzle = sharer.upload_album(ITEMS, party_context, k=2, n=4)
+    puzzle = sharer.upload_album(ITEMS, party_context, k_of_n(2, party_context))
     puzzle_id = service.store_puzzle(puzzle)
     receiver = AlbumReceiver(ReceiverC1("viewer", storage))
     return storage, service, puzzle, puzzle_id, receiver
@@ -71,6 +72,16 @@ class TestAlbumFlow:
         _, service, _, puzzle_id, receiver = world
         _solve(service, receiver, puzzle_id, party_context)
         assert receiver.fetch_item("toast.mp4") == ITEMS["toast.mp4"]
+
+    def test_manifest_is_the_puzzle_object(self, world, party_context):
+        """The manifest is sealed under K_O = H(M_O), so a plain receiver's
+        Access returns it."""
+        _, service, _, puzzle_id, receiver = world
+        displayed = service.display_puzzle(puzzle_id, rng=random.Random(0))
+        answers = receiver.receiver.answer_puzzle(displayed, party_context)
+        release = service.verify(answers)
+        manifest = receiver.receiver.access(release, displayed, party_context)
+        assert AlbumManifest.from_bytes(manifest).titles() == list(ITEMS)
 
     def test_fetch_before_open_rejected(self, world):
         _, _, _, _, receiver = world
@@ -130,38 +141,22 @@ class TestValidation:
     def test_empty_album_rejected(self, party_context):
         sharer = AlbumSharer(SharerC1("c", StorageHost()))
         with pytest.raises(PuzzleParameterError):
-            sharer.upload_album({}, party_context, k=2, n=4)
+            sharer.upload_album({}, party_context, k_of_n(2, party_context))
 
     def test_blank_title_rejected(self, party_context):
         sharer = AlbumSharer(SharerC1("c", StorageHost()))
         with pytest.raises(PuzzleParameterError):
-            sharer.upload_album({"  ": b"x"}, party_context, k=2, n=4)
+            sharer.upload_album({"  ": b"x"}, party_context, k_of_n(2, party_context))
 
     def test_threshold_one_album(self, party_context):
         storage = StorageHost()
         sharer = AlbumSharer(SharerC1("c", storage))
         service = PuzzleServiceC1()
-        puzzle = sharer.upload_album({"only.txt": b"data"}, party_context, k=1, n=2)
+        puzzle = sharer.upload_album(
+            {"only.txt": b"data"}, party_context, k_of_n(1, party_context, 2)
+        )
         puzzle_id = service.store_puzzle(puzzle)
         receiver = AlbumReceiver(ReceiverC1("v", storage))
         manifest = _solve(service, receiver, puzzle_id, party_context, seed=1)
         assert receiver.fetch_item("only.txt") == b"data"
 
-
-class TestUploadWithPolynomial:
-    def test_wrong_degree_rejected(self, party_context):
-        from repro.crypto.polynomial import Polynomial
-
-        sharer = SharerC1("s", StorageHost())
-        wrong = Polynomial.random(sharer.field, 4)  # degree 4, k=2 needs 1
-        with pytest.raises(PuzzleParameterError):
-            sharer.upload_with_polynomial(b"enc", party_context, 2, 4, wrong)
-
-    def test_wrong_field_rejected(self, party_context):
-        from repro.crypto.field import PrimeField
-        from repro.crypto.polynomial import Polynomial
-
-        sharer = SharerC1("s", StorageHost())
-        foreign = Polynomial.random(PrimeField(2**61 - 1), 1)
-        with pytest.raises(PuzzleParameterError):
-            sharer.upload_with_polynomial(b"enc", party_context, 2, 4, foreign)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.abe.access_tree import AccessTree
 from repro.core.construction1 import PuzzleServiceC1, ReceiverC1, SharerC1
 from repro.core.context import Context, QAPair
 from repro.core.errors import (
@@ -19,6 +20,8 @@ from repro.core.errors import (
 from repro.crypto.bls import BlsScheme
 from repro.crypto.params import TOY
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
+from tests.conftest import k_of_n
 
 
 @pytest.fixture()
@@ -26,7 +29,9 @@ def setup(party_context, secret_object):
     storage = StorageHost()
     sharer = SharerC1("sharer-user", storage)
     service = PuzzleServiceC1()
-    puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+    puzzle = sharer.upload_policy(
+        secret_object, party_context, k_of_n(2, party_context, 4)
+    )
     puzzle_id = service.store_puzzle(puzzle)
     receiver = ReceiverC1("receiver-user", storage)
     return storage, service, puzzle, puzzle_id, receiver
@@ -59,23 +64,56 @@ class TestUpload:
 
     def test_n_less_than_context(self, party_context, secret_object):
         sharer = SharerC1("s", StorageHost())
-        puzzle = sharer.upload(secret_object, party_context, k=1, n=2)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(1, party_context, 2)
+        )
         assert puzzle.n == 2
 
     def test_bad_parameters(self, party_context, secret_object):
         sharer = SharerC1("s", StorageHost())
         with pytest.raises(PuzzleParameterError):
-            sharer.upload(secret_object, party_context, k=0, n=2)
+            sharer.upload_policy(
+                secret_object, party_context, k_of_n(0, party_context, 2)
+            )
         with pytest.raises(PuzzleParameterError):
-            sharer.upload(secret_object, party_context, k=3, n=2)
+            sharer.upload_policy(
+                secret_object, party_context, k_of_n(3, party_context, 2)
+            )
+        unanswerable = PuzzlePolicy.from_k_of_n(
+            2, party_context.questions + ["Who sang?"]
+        )
         with pytest.raises(PuzzleParameterError):
-            sharer.upload(secret_object, party_context, k=2, n=5)
+            sharer.upload_policy(secret_object, party_context, unanswerable)
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+    def test_caller_supplied_secret_is_m_o(self, nested, party_context, secret_object):
+        q = party_context.questions
+        policy = (
+            PuzzlePolicy(AccessTree.all_of([q[0], AccessTree.threshold(1, q[1:])]))
+            if nested
+            else k_of_n(2, party_context)
+        )
+        storage = StorageHost()
+        service = PuzzleServiceC1()
+        puzzle = SharerC1("s", storage).upload_policy(
+            secret_object, party_context, policy, secret=1234
+        )
+        puzzle_id = service.store_puzzle(puzzle)
+        receiver = ReceiverC1("r", storage)
+        displayed = service.display_puzzle(puzzle_id, rng=random.Random(0))
+        release = service.verify(receiver.answer_puzzle(displayed, party_context))
+        assert receiver.recover_object_secret(release, displayed, party_context) == 1234
+        assert receiver.access(release, displayed, party_context) == secret_object
 
     def test_fresh_secrets_per_upload(self, party_context, secret_object):
         storage = StorageHost()
         sharer = SharerC1("s", storage)
-        a = sharer.upload(secret_object, party_context, k=2, n=4)
-        b = sharer.upload(secret_object, party_context, k=2, n=4)
+        a = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
+        b = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         assert a.puzzle_key != b.puzzle_key
         assert storage.get(a.url) != storage.get(b.url)
 
@@ -185,7 +223,8 @@ class TestEndToEnd:
         sharer = SharerC1("s", storage)
         service = PuzzleServiceC1()
         obj = b"payload-%d" % seed
-        puzzle_id = service.store_puzzle(sharer.upload(obj, context, k=k, n=n))
+        puzzle = sharer.upload_policy(obj, context, k_of_n(k, context, n))
+        puzzle_id = service.store_puzzle(puzzle)
         receiver = ReceiverC1("r", storage)
         # Full knowledge always succeeds regardless of the displayed subset.
         displayed = service.display_puzzle(puzzle_id, rng=rng)
@@ -199,7 +238,9 @@ class TestSurveillanceResistance:
         storage = StorageHost()
         sharer = SharerC1("sharer-user", storage)
         service = PuzzleServiceC1()
-        puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         puzzle_id = service.store_puzzle(puzzle)
         receiver = ReceiverC1("receiver-user", storage)
         run_flow(service, receiver, puzzle_id, party_context)
@@ -264,7 +305,9 @@ class TestSignedPuzzles:
         bls = BlsScheme(TOY)
         sharer = SharerC1("s", storage, bls=bls)
         service = PuzzleServiceC1()
-        puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         assert puzzle.verify_signature(bls)
         puzzle_id = service.store_puzzle(puzzle)
         receiver = ReceiverC1("r", storage, bls=bls)
@@ -282,7 +325,9 @@ class TestSignedPuzzles:
         storage = StorageHost()
         bls = BlsScheme(TOY)
         sharer = SharerC1("s", storage, bls=bls)
-        puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         tampered = replace(puzzle, url="dh://evil/0")
         service = PuzzleServiceC1()
         puzzle_id = service.store_puzzle(tampered)

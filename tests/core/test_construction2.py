@@ -22,6 +22,8 @@ from repro.core.context import Context, QAPair
 from repro.core.errors import AccessDeniedError, PuzzleParameterError, UnknownPuzzleError
 from repro.crypto.params import TOY
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
+from tests.conftest import k_of_n
 
 
 @pytest.fixture()
@@ -29,7 +31,9 @@ def setup(party_context, secret_object):
     storage = StorageHost()
     sharer = SharerC2("sharer-user", storage, TOY)
     service = PuzzleServiceC2()
-    record, ct_bytes = sharer.upload(secret_object, party_context, k=2)
+    record, ct_bytes = sharer.upload_policy(
+        secret_object, party_context, k_of_n(2, party_context)
+    )
     puzzle_id = service.store_upload(record)
     receiver = ReceiverC2("receiver-user", storage, TOY)
     return storage, service, puzzle_id, receiver, ct_bytes
@@ -119,29 +123,35 @@ class TestPerturbReconstruct:
         assert all(is_perturbed(a) for a in rebuilt.attributes())
 
 
-class TestBuildTree:
-    def test_structure(self, party_context):
+class TestUploadPolicy:
+    def test_structure(self, party_context, secret_object):
         sharer = SharerC2("s", StorageHost(), TOY)
-        tree = sharer.build_tree(party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
+        tree = record.tree_perturbed
         assert tree.root.threshold == 2
         assert len(tree.leaves()) == len(party_context)
 
-    def test_1_1_threshold_rejected(self):
+    def test_1_1_threshold_rejected(self, secret_object):
         """The paper: CP-ABE does not support (1, 1); observations start
         at N = 2."""
         sharer = SharerC2("s", StorageHost(), TOY)
         context = Context.from_mapping({"q": "a"})
         with pytest.raises(PuzzleParameterError):
-            sharer.build_tree(context, k=1, n=1)
+            sharer.upload_policy(secret_object, context, k_of_n(1, context))
 
-    def test_bad_parameters(self, party_context):
+    def test_bad_parameters(self, party_context, secret_object):
         sharer = SharerC2("s", StorageHost(), TOY)
         with pytest.raises(PuzzleParameterError):
-            sharer.build_tree(party_context, k=0)
+            sharer.upload_policy(secret_object, party_context, k_of_n(0, party_context))
         with pytest.raises(PuzzleParameterError):
-            sharer.build_tree(party_context, k=5)
+            sharer.upload_policy(secret_object, party_context, k_of_n(5, party_context))
+        unanswerable = PuzzlePolicy.from_k_of_n(
+            2, party_context.questions + ["Who sang?"]
+        )
         with pytest.raises(PuzzleParameterError):
-            sharer.build_tree(party_context, k=2, n=9)
+            sharer.upload_policy(secret_object, party_context, unanswerable)
 
 
 class TestEndToEnd:
@@ -211,7 +221,9 @@ class TestEndToEnd:
         storage = StorageHost()
         sharer = SharerC2("s", storage, TOY)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload(secret_object, party_context, k=4)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(4, party_context)
+        )
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("r", storage, TOY)
         assert run_flow(service, receiver, puzzle_id, party_context) == secret_object
@@ -225,7 +237,9 @@ class TestSurveillanceResistance:
         storage = StorageHost()
         sharer = SharerC2("sharer-user", storage, TOY)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload(secret_object, party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("receiver-user", storage, TOY)
         run_flow(service, receiver, puzzle_id, party_context)
@@ -243,7 +257,7 @@ class TestSurveillanceResistance:
         sharer = SharerC2(
             "s", storage, TOY, legacy_unperturbed_ciphertext=True
         )
-        sharer.upload(secret_object, party_context, k=2)
+        sharer.upload_policy(secret_object, party_context, k_of_n(2, party_context))
         leaked = any(
             storage.audit.saw(pair.answer_bytes()) for pair in party_context
         )
@@ -253,7 +267,9 @@ class TestSurveillanceResistance:
         storage = StorageHost()
         sharer = SharerC2("s", storage, TOY, legacy_unperturbed_ciphertext=True)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload(secret_object, party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("r", storage, TOY)
         assert run_flow(service, receiver, puzzle_id, party_context.take(2)) == secret_object
@@ -277,7 +293,9 @@ class TestService:
         service = PuzzleServiceC2()
         ids = []
         for _ in range(3):
-            record, _ = sharer.upload(secret_object, party_context, k=2)
+            record, _ = sharer.upload_policy(
+                secret_object, party_context, k_of_n(2, party_context)
+            )
             ids.append(service.store_upload(record))
         assert ids == [1, 2, 3]
         assert service.puzzle_count() == 3
@@ -316,20 +334,19 @@ class TestNestedPolicies:
         logistics = Context.from_mapping(
             {"Which room?": "aurora", "Who presented?": "priya", "Which server?": "basalt"}
         )
-        tree = AccessTree.any_of(
-            [
-                AccessTree.all_of(
-                    [leaf_attribute(p.question, p.answer) for p in project.pairs]
-                ),
-                AccessTree.threshold(
-                    2, [leaf_attribute(p.question, p.answer) for p in logistics.pairs]
-                ),
-            ]
+        policy = PuzzlePolicy(
+            AccessTree.any_of(
+                [
+                    AccessTree.all_of(project.questions),
+                    AccessTree.threshold(2, logistics.questions),
+                ]
+            )
         )
+        everything = Context(project.pairs + logistics.pairs)
         storage = StorageHost()
         sharer = SharerC2("s", storage, TOY)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload_tree(secret_object, tree)
+        record, _ = sharer.upload_policy(secret_object, everything, policy)
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("r", storage, TOY)
         return project, logistics, service, puzzle_id, receiver
@@ -359,12 +376,6 @@ class TestNestedPolicies:
         displayed = service.display_puzzle(puzzle_id)
         with pytest.raises(AccessDeniedError):
             service.verify(receiver.answer_puzzle(displayed, mixed))
-
-    def test_malformed_leaf_rejected(self, secret_object):
-        sharer = SharerC2("s", StorageHost(), TOY)
-        bad_tree = AccessTree.k_of_n(1, ["no-separator-here", "also bad"])
-        with pytest.raises(PuzzleParameterError):
-            sharer.upload_tree(secret_object, bad_tree)
 
     def test_surveillance_resistance_with_nested_tree(self, secret_object):
         project, logistics, service, puzzle_id, receiver = self._nested_world(

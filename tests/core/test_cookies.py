@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.cookies import AnswerStore
 from repro.core.context import Context
+from tests.conftest import k_of_n
 
 
 class TestStoreBasics:
@@ -71,7 +72,9 @@ class TestAutofill:
         sharer = SharerC1("s", storage)
         service = PuzzleServiceC1()
         puzzle_id = service.store_puzzle(
-            sharer.upload(secret_object, party_context, k=2, n=4)
+            sharer.upload_policy(
+                secret_object, party_context, k_of_n(2, party_context, 4)
+            )
         )
         receiver = ReceiverC1("r", storage)
         displayed = service.display_puzzle(puzzle_id, rng=random.Random(0))

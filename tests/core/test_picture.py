@@ -15,6 +15,7 @@ from repro.core.picture import (
     image_answer_token,
 )
 from repro.osn.storage import StorageHost
+from tests.conftest import k_of_n
 
 
 def make_image(label: str, seed: int) -> ImageRef:
@@ -141,7 +142,7 @@ class TestEndToEnd:
         sharer = SharerC1("s", storage)
         service = PuzzleServiceC1()
         puzzle_id = service.store_puzzle(
-            sharer.upload(secret_object, context, k=2, n=3)
+            sharer.upload_policy(secret_object, context, k_of_n(2, context, 3))
         )
         receiver = ReceiverC1("r", storage)
 
@@ -163,7 +164,7 @@ class TestEndToEnd:
         sharer = SharerC1("s", storage)
         service = PuzzleServiceC1()
         puzzle_id = service.store_puzzle(
-            sharer.upload(secret_object, context, k=2, n=3)
+            sharer.upload_policy(secret_object, context, k_of_n(2, context, 3))
         )
         receiver = ReceiverC1("r", storage)
         selections = {

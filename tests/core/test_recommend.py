@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.errors import PuzzleParameterError
 from repro.core.recommend import ContextRecommender
+from tests.conftest import k_of_n
 
 
 @pytest.fixture()
@@ -110,7 +111,7 @@ class TestBuildContext:
         sharer = SharerC1("s", storage)
         service = PuzzleServiceC1()
         puzzle_id = service.store_puzzle(
-            sharer.upload(secret_object, context, k=2, n=len(context))
+            sharer.upload_policy(secret_object, context, k_of_n(2, context))
         )
         receiver = ReceiverC1("r", storage)
         displayed = service.display_puzzle(puzzle_id, rng=random.Random(0))

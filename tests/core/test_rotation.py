@@ -6,10 +6,42 @@ import random
 
 import pytest
 
-from repro.core.construction1 import ReceiverC1, SharerC1
-from repro.core.errors import PuzzleParameterError, TamperDetectedError, UnknownPuzzleError
-from repro.core.rotation import RotatingPuzzleService, RotationPolicy, rotate_puzzle
+from repro.core.construction1 import DisplayedPuzzle, ReceiverC1, SharerC1
+from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
+from repro.core.context import Context
+from repro.core.errors import (
+    AccessDeniedError,
+    PuzzleParameterError,
+    TamperDetectedError,
+    UnknownPuzzleError,
+)
+from repro.core.rotation import (
+    RotatingPuzzleService,
+    RotationPolicy,
+    install_rotation_c2,
+    rotate_puzzle,
+    rotate_upload_c2,
+)
+from repro.crypto.params import TOY
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
+from tests.conftest import k_of_n
+
+NESTED = PuzzlePolicy.from_text(
+    "scope:group/trip and (2 of (ctx_a, ctx_b, ctx_c) or attr:escrow)"
+)
+NESTED_CONTEXT = Context.from_mapping(
+    {
+        "scope:group/trip": "lantern",
+        "ctx_a": "alpha",
+        "ctx_b": "bravo",
+        "ctx_c": "charlie",
+        "attr:escrow": "escrow key",
+    }
+)
+# Two leaves, but not the scope gate: denied under NESTED, granted by a
+# flat 2-of-5 puzzle over the same questions.
+NOT_ENOUGH = NESTED_CONTEXT.subset(["ctx_a", "attr:escrow"])
 
 
 @pytest.fixture()
@@ -17,7 +49,9 @@ def world(party_context, secret_object):
     storage = StorageHost()
     sharer = SharerC1("rotator", storage)
     service = RotatingPuzzleService(policy=RotationPolicy(max_releases=2))
-    puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+    puzzle = sharer.upload_policy(
+        secret_object, party_context, k_of_n(2, party_context, 4)
+    )
     puzzle_id = service.store_puzzle(puzzle)
     receiver = ReceiverC1("reader", storage)
     return storage, sharer, service, puzzle, puzzle_id, receiver
@@ -119,14 +153,23 @@ class TestInstallValidation:
         with pytest.raises(PuzzleParameterError):
             service.install_rotation(puzzle_id, old_puzzle)
 
-    def test_question_set_must_match(self, world, secret_object):
-        from repro.core.context import Context
+    def test_policy_must_match(self, world, party_context, secret_object):
+        """The same questions under another threshold are another policy."""
+        _, sharer, service, _, puzzle_id, _ = world
+        stricter = sharer.upload_policy(
+            secret_object, party_context, k_of_n(3, party_context)
+        )
+        with pytest.raises(PuzzleParameterError):
+            service.install_rotation(puzzle_id, stricter)
 
+    def test_question_set_must_match(self, world, secret_object):
         _, sharer, service, _, puzzle_id, _ = world
         other_context = Context.from_mapping(
             {"Different question?": "different answer", "Another?": "answer two"}
         )
-        foreign = sharer.upload(secret_object, other_context, k=2, n=2)
+        foreign = sharer.upload_policy(
+            secret_object, other_context, k_of_n(2, other_context, 2)
+        )
         with pytest.raises(PuzzleParameterError):
             service.install_rotation(puzzle_id, foreign)
 
@@ -134,13 +177,12 @@ class TestInstallValidation:
 class TestRotationC2:
     @pytest.fixture()
     def c2_world(self, party_context, secret_object):
-        from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
-        from repro.crypto.params import TOY
-
         storage = StorageHost()
         sharer = SharerC2("rotator", storage, TOY)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload(secret_object, party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("reader", storage, TOY)
         return storage, sharer, service, record, puzzle_id, receiver
@@ -148,11 +190,9 @@ class TestRotationC2:
     def test_rotation_refreshes_keys_and_url(
         self, c2_world, party_context, secret_object
     ):
-        from repro.core.rotation import rotate_upload_c2
-
         storage, sharer, _, old_record, _, _ = c2_world
         new_record, _ = rotate_upload_c2(
-            sharer, old_record, secret_object, party_context, k=2
+            sharer, old_record, secret_object, party_context
         )
         assert new_record.mk_bytes != old_record.mk_bytes
         assert new_record.pk_bytes != old_record.pk_bytes
@@ -162,11 +202,9 @@ class TestRotationC2:
     def test_rotated_upload_solvable_same_answers(
         self, c2_world, party_context, secret_object
     ):
-        from repro.core.rotation import install_rotation_c2, rotate_upload_c2
-
         storage, sharer, service, old_record, puzzle_id, receiver = c2_world
         new_record, _ = rotate_upload_c2(
-            sharer, old_record, secret_object, party_context, k=2
+            sharer, old_record, secret_object, party_context
         )
         install_rotation_c2(service, puzzle_id, new_record)
         displayed = service.display_puzzle(puzzle_id)
@@ -174,8 +212,6 @@ class TestRotationC2:
         assert receiver.access(grant, party_context) == secret_object
 
     def test_install_requires_rekeying(self, c2_world):
-        from repro.core.rotation import install_rotation_c2
-
         _, _, service, old_record, puzzle_id, _ = c2_world
         with pytest.raises(PuzzleParameterError):
             install_rotation_c2(service, puzzle_id, service._lookup(puzzle_id))
@@ -183,13 +219,55 @@ class TestRotationC2:
     def test_install_requires_same_questions(
         self, c2_world, secret_object
     ):
-        from repro.core.context import Context
-        from repro.core.rotation import install_rotation_c2
-
         storage, sharer, service, _, puzzle_id, _ = c2_world
         other = Context.from_mapping(
             {"Different q1?": "ans one", "Different q2?": "ans two"}
         )
-        foreign, _ = sharer.upload(secret_object, other, k=2)
+        foreign, _ = sharer.upload_policy(secret_object, other, k_of_n(2, other))
         with pytest.raises(PuzzleParameterError):
             install_rotation_c2(service, puzzle_id, foreign)
+
+
+class TestRotationKeepsNestedPolicy:
+    """Rotation re-shares the stored puzzle's own policy: a nested puzzle
+    must not come back as a flat k-of-n one."""
+
+    def test_c1(self, secret_object):
+        storage = StorageHost()
+        sharer = SharerC1("rotator", storage)
+        service = RotatingPuzzleService()
+        old_puzzle = sharer.upload_policy(secret_object, NESTED_CONTEXT, NESTED)
+        puzzle_id = service.store_puzzle(old_puzzle)
+        new_puzzle = rotate_puzzle(sharer, old_puzzle, secret_object, NESTED_CONTEXT)
+        service.install_rotation(puzzle_id, new_puzzle)
+
+        receiver = ReceiverC1("reader", storage)
+        # Every question, as a nested puzzle displays them (a flat one
+        # would display a random subset).
+        displayed = DisplayedPuzzle(
+            puzzle_id, tuple(new_puzzle.questions), new_puzzle.puzzle_key, new_puzzle.k
+        )
+        with pytest.raises(AccessDeniedError):
+            service.verify(receiver.answer_puzzle(displayed, NOT_ENOUGH))
+        plaintext, _, _ = _solve(service, receiver, puzzle_id, NESTED_CONTEXT)
+        assert plaintext == secret_object
+        assert new_puzzle.policy() == NESTED
+
+    def test_c2(self, secret_object):
+        storage = StorageHost()
+        sharer = SharerC2("rotator", storage, TOY)
+        service = PuzzleServiceC2()
+        old_record, _ = sharer.upload_policy(secret_object, NESTED_CONTEXT, NESTED)
+        puzzle_id = service.store_upload(old_record)
+        new_record, _ = rotate_upload_c2(
+            sharer, old_record, secret_object, NESTED_CONTEXT
+        )
+        install_rotation_c2(service, puzzle_id, new_record)
+
+        receiver = ReceiverC2("reader", storage, TOY)
+        displayed = service.display_puzzle(puzzle_id)
+        with pytest.raises(AccessDeniedError):
+            service.verify(receiver.answer_puzzle(displayed, NOT_ENOUGH))
+        grant = service.verify(receiver.answer_puzzle(displayed, NESTED_CONTEXT))
+        assert receiver.access(grant, NESTED_CONTEXT) == secret_object
+        assert new_record.policy() == NESTED

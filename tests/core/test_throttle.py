@@ -19,6 +19,7 @@ from repro.core.context import Context, QAPair
 from repro.core.errors import AccessDeniedError, UnknownPuzzleError
 from repro.core.throttle import ThrottledError
 from repro.osn.storage import StorageHost
+from tests.conftest import k_of_n
 
 DEADLINE_S = 20.0
 
@@ -28,7 +29,7 @@ def world(party_context, secret_object):
     sharer = SharerC1("s", storage)
     service = PuzzleServiceC1(max_failures=3)
     puzzle_id = service.store_puzzle(
-        sharer.upload(secret_object, party_context, k=2, n=4)
+        sharer.upload_policy(secret_object, party_context, k_of_n(2, party_context, 4))
     )
     receiver = ReceiverC1("r", storage)
     return storage, service, puzzle_id, receiver
@@ -96,7 +97,9 @@ class TestThrottling:
         storage, service, puzzle_id, receiver = world
         sharer = SharerC1("s2", storage)
         other_id = service.store_puzzle(
-            sharer.upload(secret_object, party_context, k=2, n=4)
+            sharer.upload_policy(
+                secret_object, party_context, k_of_n(2, party_context, 4)
+            )
         )
         wrong = Context(
             QAPair(p.question, "bad " + p.answer) for p in party_context
@@ -137,7 +140,8 @@ class TestOnlineBruteForceDefeated:
         storage = StorageHost()
         sharer = SharerC1("s", storage)
         service = PuzzleServiceC1(max_failures=4)
-        puzzle_id = service.store_puzzle(sharer.upload(secret_object, context, k=2, n=2))
+        puzzle = sharer.upload_policy(secret_object, context, k_of_n(2, context))
+        puzzle_id = service.store_puzzle(puzzle)
         receiver = ReceiverC1("attacker", storage)
 
         vocabulary = ["alpha", "beta", "gamma", "zeta", "omicron", "sigma"]
@@ -167,7 +171,9 @@ class TestThrottledC2:
         storage = StorageHost()
         sharer = SharerC2("s", storage, TOY)
         service = PuzzleServiceC2(max_failures=3)
-        record, _ = sharer.upload(secret_object, party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("r", storage, TOY)
         return service, puzzle_id, receiver
@@ -284,10 +290,6 @@ class _GatedService(PuzzleServiceC1):
             self.checked += 1
         self.barrier.wait(timeout=DEADLINE_S)
 
-    def _release(self, answers):
-        self._gate()
-        return super()._release(answers)
-
     def _matched_questions(self, answers):
         self._gate()
         return super()._matched_questions(answers)
@@ -310,7 +312,9 @@ class TestConcurrentGuesses:
         storage = StorageHost()
         service = _GatedService(barrier, max_failures=3)
         puzzle_id = service.store_puzzle(
-            SharerC1("s", storage).upload(secret_object, party_context, k=2, n=4)
+            SharerC1("s", storage).upload_policy(
+                secret_object, party_context, k_of_n(2, party_context, 4)
+            )
         )
         wrong = Context(
             QAPair(p.question, "wrong-" + p.answer) for p in party_context

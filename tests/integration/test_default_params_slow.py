@@ -18,6 +18,7 @@ from repro.crypto.bls import BlsScheme
 from repro.crypto.pairing import Pairing
 from repro.crypto.params import DEFAULT
 from repro.osn.storage import StorageHost
+from tests.conftest import k_of_n
 
 
 @pytest.mark.slow
@@ -45,7 +46,9 @@ class TestDefaultParams:
         storage = StorageHost()
         sharer = SharerC2("s", storage, DEFAULT)
         service = PuzzleServiceC2()
-        record, _ = sharer.upload(secret_object, party_context, k=2)
+        record, _ = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context)
+        )
         puzzle_id = service.store_upload(record)
         receiver = ReceiverC2("r", storage, DEFAULT)
         displayed = service.display_puzzle(puzzle_id)

@@ -19,6 +19,7 @@ from repro.core.construction1 import PuzzleServiceC1, ReceiverC1, SharerC1
 from repro.core.context import Context, QAPair
 from repro.core.errors import AccessDeniedError
 from repro.osn.storage import StorageHost
+from tests.conftest import k_of_n
 
 
 def _build(num_questions: int, k: int, seed: int):
@@ -33,7 +34,8 @@ def _build(num_questions: int, k: int, seed: int):
     sharer = SharerC1("prop-sharer", storage)
     service = PuzzleServiceC1()
     obj = b"property object %d" % seed
-    puzzle_id = service.store_puzzle(sharer.upload(obj, context, k=k, n=num_questions))
+    puzzle = sharer.upload_policy(obj, context, k_of_n(k, context, num_questions))
+    puzzle_id = service.store_puzzle(puzzle)
     receiver = ReceiverC1("prop-receiver", storage)
     return context, storage, service, puzzle_id, receiver, obj
 

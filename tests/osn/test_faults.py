@@ -20,6 +20,7 @@ from repro.osn.faults import (
     TransientStorageError,
 )
 from repro.osn.storage import StorageError, StorageHost
+from tests.conftest import k_of_n
 
 
 class TestFlakyStorageHost:
@@ -79,7 +80,9 @@ class TestProtocolUnderFaults:
         dh = FlakyStorageHost(put_failure_rate=1.0)
         sharer = SharerC1("s", dh)
         with pytest.raises(TransientStorageError):
-            sharer.upload(secret_object, party_context, k=2, n=4)
+            sharer.upload_policy(
+                secret_object, party_context, k_of_n(2, party_context, 4)
+            )
 
     def test_sharer_retry_succeeds_when_fault_clears(
         self, party_context, secret_object
@@ -92,7 +95,9 @@ class TestProtocolUnderFaults:
         while puzzle is None and attempts < 10:
             attempts += 1
             try:
-                puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+                puzzle = sharer.upload_policy(
+                    secret_object, party_context, k_of_n(2, party_context, 4)
+                )
             except TransientStorageError:
                 continue
         assert puzzle is not None
@@ -108,7 +113,9 @@ class TestProtocolUnderFaults:
         dh = FlakyStorageHost(lost_write_rate=1.0)
         sharer = SharerC1("s", dh)
         service = PuzzleServiceC1()
-        puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         puzzle_id = service.store_puzzle(puzzle)
         receiver = ReceiverC1("r", dh)
         displayed = service.display_puzzle(puzzle_id, rng=random.Random(0))
@@ -166,7 +173,9 @@ class TestFlakyPuzzleService:
         storage = StorageHost()
         sharer = SharerC1("s", storage)
         service = FlakyPuzzleService(PuzzleServiceC1(), **fault_kwargs)
-        puzzle = sharer.upload(secret_object, party_context, k=2, n=4)
+        puzzle = sharer.upload_policy(
+            secret_object, party_context, k_of_n(2, party_context, 4)
+        )
         return storage, service, puzzle
 
     def test_store_failure_does_not_register(self, party_context, secret_object):

@@ -7,15 +7,30 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.construction1 import PuzzleServiceC1, ReceiverC1, SharerC1
-from repro.core.construction2 import PuzzleServiceC2, ReceiverC2, SharerC2
-from repro.core.context import Context
+from repro.abe.access_tree import AccessTree
+from repro.core.construction1 import (
+    DisplayedPuzzle,
+    PuzzleServiceC1,
+    ReceiverC1,
+    SharerC1,
+)
+from repro.core.construction2 import (
+    C2Upload,
+    DisplayedPuzzleC2,
+    PuzzleServiceC2,
+    ReceiverC2,
+    SharerC2,
+    leaf_attribute,
+    perturb_tree,
+)
+from repro.core.context import Context, QAPair
 from repro.core.errors import AccessDeniedError, UnknownPuzzleError
 from repro.core.throttle import ThrottledError
 from repro.crypto.params import TOY
 from repro.osn.faults import FlakyPuzzleService
 from repro.osn.provider import ServiceProvider
 from repro.osn.storage import StorageHost
+from repro.policy.model import PuzzlePolicy
 from repro.proto.engine import PuzzleProtocolEngine
 from repro.proto.messages import (
     AnswerSubmission,
@@ -36,6 +51,7 @@ from repro.proto.messages import (
     decode_message,
     encode_message,
 )
+from tests.conftest import k_of_n
 
 
 @pytest.fixture()
@@ -90,7 +106,9 @@ def _assert_second_guess_throttled(engine, construction, puzzle_id, digests):
 class TestC1Journey:
     def test_full_share_and_access_over_the_wire(self, world, context):
         provider, storage, engine, alice, bob = world
-        puzzle = SharerC1("alice", storage).upload(b"the secret", context, 2, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"the secret", context, k_of_n(2, context, 3)
+        )
 
         stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
         assert isinstance(stored, StoreReply)
@@ -131,7 +149,9 @@ class TestC1Journey:
 
     def test_display_sampling_is_deterministic_per_state(self, world, context):
         _, storage, engine, _, _ = world
-        puzzle = SharerC1("alice", storage).upload(b"x", context, 2, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"x", context, k_of_n(2, context, 3)
+        )
         stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
         request = DisplayPuzzleRequest(
             construction=1,
@@ -144,7 +164,9 @@ class TestC1Journey:
 
     def test_retract(self, world, context):
         _, storage, engine, _, _ = world
-        puzzle = SharerC1("alice", storage).upload(b"x", context, 2, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"x", context, k_of_n(2, context, 3)
+        )
         stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
         gone = call(
             engine,
@@ -165,8 +187,8 @@ class TestC1Journey:
 class TestC2Journey:
     def test_full_share_and_access_over_the_wire(self, world, context):
         _, storage, engine, _, _ = world
-        record, _ = SharerC2("alice", storage, TOY).upload(
-            b"qt secret", context, 2, 3
+        record, _ = SharerC2("alice", storage, TOY).upload_policy(
+            b"qt secret", context, k_of_n(2, context, 3)
         )
         stored = call(engine, StoreUploadRequest(record=record))
         shown = call(
@@ -188,7 +210,9 @@ class TestC2Journey:
 
     def test_retract(self, world, context):
         _, storage, engine, _, _ = world
-        record, _ = SharerC2("alice", storage, TOY).upload(b"x", context, 2, 3)
+        record, _ = SharerC2("alice", storage, TOY).upload_policy(
+            b"x", context, k_of_n(2, context, 3)
+        )
         stored = call(engine, StoreUploadRequest(record=record))
         request = RetractPuzzleRequest(construction=2, puzzle_id=stored.puzzle_id)
         assert call(engine, request) == RetractReply(removed=True)
@@ -202,7 +226,9 @@ class TestC2Journey:
 class TestErrorPaths:
     def test_wrong_answers_surface_access_denied(self, world, context):
         _, storage, engine, _, _ = world
-        puzzle = SharerC1("alice", storage).upload(b"x", context, 3, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"x", context, k_of_n(3, context, 3)
+        )
         stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
         with pytest.raises(AccessDeniedError):
             call(
@@ -220,7 +246,9 @@ class TestErrorPaths:
         engine.register_backend(
             1, PuzzleServiceC1(max_failures=1, audit=provider.audit)
         )
-        puzzle = SharerC1("alice", storage).upload(b"x", context, 3, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"x", context, k_of_n(3, context, 3)
+        )
         stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
         _assert_second_guess_throttled(
             engine, 1, stored.puzzle_id, {q: b"\x00" * 32 for q in puzzle.questions}
@@ -231,7 +259,9 @@ class TestErrorPaths:
         engine.register_backend(
             2, PuzzleServiceC2(max_failures=1, audit=provider.audit)
         )
-        record, _ = SharerC2("alice", storage, TOY).upload(b"x", context, 3, 3)
+        record, _ = SharerC2("alice", storage, TOY).upload_policy(
+            b"x", context, k_of_n(3, context, 3)
+        )
         stored = call(engine, StoreUploadRequest(record=record))
         _assert_second_guess_throttled(
             engine, 2, stored.puzzle_id, {q: b"00" * 20 for q in context.questions}
@@ -245,7 +275,9 @@ class TestErrorPaths:
             1,
             FlakyPuzzleService(PuzzleServiceC1(max_failures=1, audit=provider.audit)),
         )
-        puzzle = SharerC1("alice", storage).upload(b"x", context, 3, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"x", context, k_of_n(3, context, 3)
+        )
         stored = call(engine, StorePuzzleRequest(puzzle=puzzle))
         _assert_second_guess_throttled(
             engine, 1, stored.puzzle_id, {q: b"\x00" * 32 for q in puzzle.questions}
@@ -308,3 +340,72 @@ class TestSubstrateDispatchFaces:
         assert isinstance(reply, ErrorReply)
         assert reply.code == "unroutable"
         assert not reply.transient
+
+
+class TestOneReleaseRule:
+    """Verify decides once, on the question-level policy the SP derives
+    when it stores a puzzle."""
+
+    def test_denials_are_byte_identical(self, world, context):
+        """A C1 flat, a C1 nested and a C2 puzzle, each denied for no right
+        answer and for one right answer short of a grant: every reply is
+        the same frame, so a guesser cannot count its right answers."""
+        _, storage, engine, _, _ = world
+        q = context.questions
+        nested = PuzzlePolicy(
+            AccessTree.all_of([q[0], AccessTree.threshold(1, q[1:])])
+        )
+        # (construction, policy, the right answers of the near miss)
+        cases = [
+            (1, k_of_n(2, context), q[:1]),
+            (1, nested, q[1:]),
+            (2, k_of_n(2, context), q[:1]),
+        ]
+        frames = set()
+        for construction, policy, near_miss in cases:
+            if construction == 1:
+                puzzle = SharerC1("alice", storage).upload_policy(b"x", context, policy)
+                puzzle_id = call(engine, StorePuzzleRequest(puzzle=puzzle)).puzzle_id
+                receiver = ReceiverC1("eve", storage)
+                displayed = DisplayedPuzzle(
+                    puzzle_id, tuple(q), puzzle.puzzle_key, puzzle.k
+                )
+            else:
+                record, _ = SharerC2("alice", storage, TOY).upload_policy(
+                    b"x", context, policy
+                )
+                puzzle_id = call(engine, StoreUploadRequest(record=record)).puzzle_id
+                receiver = ReceiverC2("eve", storage, TOY)
+                displayed = DisplayedPuzzleC2(puzzle_id, tuple(q), 2)
+            for right in ((), near_miss):
+                guess = Context(
+                    QAPair(p.question, p.answer if p.question in right else "wrong")
+                    for p in context
+                )
+                answers = receiver.answer_puzzle(displayed, guess)
+                submission = AnswerSubmission.from_answers(construction, answers, "eve")
+                frames.add(engine.dispatch(encode_message(submission)))
+        assert len(frames) == 1
+        reply = decode_message(frames.pop())
+        assert isinstance(reply, ErrorReply) and reply.code == "access-denied"
+
+    def test_c2_store_refuses_a_repeated_question(self, world):
+        """Two leaves for one question: the SP matches answers per
+        question, so Explain and Verify could not agree on such a tree."""
+        _, _, engine, _, _ = world
+        leaves = [leaf_attribute("q", "red"), leaf_attribute("q", "blue")]
+        tree = perturb_tree(AccessTree.k_of_n(2, leaves))
+        record = C2Upload(
+            puzzle_id=0,
+            tree_perturbed=tree,
+            pk_bytes=b"pk",
+            mk_bytes=b"mk",
+            url="dh://dh/1",
+            sharer_name="alice",
+        )
+        reply = decode_message(
+            engine.dispatch(encode_message(StoreUploadRequest(record=record)))
+        )
+        assert isinstance(reply, ErrorReply)
+        assert (reply.code, reply.transient) == ("puzzle-parameter", False)
+        assert engine.backend(2).puzzle_count() == 0

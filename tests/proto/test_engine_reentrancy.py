@@ -25,6 +25,7 @@ from repro.proto.messages import (
     decode_message,
     encode_message,
 )
+from tests.conftest import k_of_n
 
 DEADLINE_S = 20.0
 
@@ -54,7 +55,9 @@ def engine_and_puzzle(party_context):
         1, RendezvousService(PuzzleServiceC1(audit=provider.audit))
     )
     sharer = SharerC1("alice", storage)
-    puzzle = sharer.upload(b"the photos", party_context, k=2, n=4)
+    puzzle = sharer.upload_policy(
+        b"the photos", party_context, k_of_n(2, party_context, 4)
+    )
     return engine, puzzle
 
 

@@ -2,12 +2,15 @@
 
 A frame whose envelope and CRC are valid can still carry a body that no
 sender would produce: a puzzle with k = 0, an access tree with an
-unknown node tag, a gate chain deeper than the interpreter's stack.
-Every such failure leaves :func:`~repro.proto.messages.decode_message`
-as :class:`~repro.util.codec.CodecError`, so the serve loop answers it
+unknown node tag, a gate chain deeper than the interpreter's stack, a
+construction byte other than 1 or 2. Every such failure leaves
+:func:`~repro.proto.messages.decode_message` as
+:class:`~repro.util.codec.CodecError`, so the serve loop answers it
 with a transient ``bad-message`` reply, a batch keeps the error in the
 member's own slot, and a client reading such a reply raises
-:class:`~repro.core.errors.TransientNetworkError`.
+:class:`~repro.core.errors.TransientNetworkError`. A field the engine
+finds malformed only while handling the request (a C2 digest that is
+not ASCII, an rng state ``random`` rejects) gets the same reply.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ from repro.proto.engine import PuzzleProtocolEngine
 from repro.proto.envelope import open_envelope, seal
 from repro.proto.messages import (
     MESSAGE_TYPES,
+    AnswerSubmission,
     BatchReply,
     BatchRequest,
+    DisplayPuzzleRequest,
     ErrorReply,
+    ExplainRequest,
     RegisterUserRequest,
     StorePuzzleRequest,
     StoreUploadRequest,
@@ -38,7 +44,7 @@ from repro.proto.messages import (
     decode_message,
     encode_message,
 )
-from repro.util.codec import CodecError, blob, text, u32
+from repro.util.codec import CodecError, blob, text, u8, u32
 
 VECTOR_DIR = Path(__file__).parent / "vectors"
 
@@ -80,6 +86,16 @@ MALFORMED = {
         StoreUploadRequest.TYPE,
         upload_body((b"\x01" + u32(1) + u32(1)) * 3000 + LEAF),
     ),
+    "construction-3": (DisplayPuzzleRequest.TYPE, u8(3) + u32(1) + u8(0)),
+    "construction-7": (AnswerSubmission.TYPE, u8(7) + u32(1) + text("eve") + u32(0)),
+}
+
+# Bodies that decode, but whose fields the engine finds malformed only
+# while it handles them.
+HANDLED_MALFORMED = {
+    "c2-verify-non-ascii-digest": AnswerSubmission(2, 1, "eve", {"q?": b"\xff\xfe"}),
+    "c2-explain-non-ascii-digest": ExplainRequest(2, 1, "eve", {"q?": b"\xff\xfe"}),
+    "rejected-rng-state": DisplayPuzzleRequest(1, 1, (99, tuple(range(625)), None)),
 }
 
 
@@ -131,6 +147,13 @@ def test_malformed_body_decodes_to_codec_error(name):
 def test_engine_answers_bad_message(engine, name):
     msg_type, body = MALFORMED[name]
     reply = decode_message(engine.dispatch(seal(msg_type, body)))
+    assert isinstance(reply, ErrorReply)
+    assert (reply.code, reply.transient) == ("bad-message", True)
+
+
+@pytest.mark.parametrize("name", sorted(HANDLED_MALFORMED))
+def test_engine_answers_bad_message_after_decoding(engine, name):
+    reply = decode_message(engine.dispatch(encode_message(HANDLED_MALFORMED[name])))
     assert isinstance(reply, ErrorReply)
     assert (reply.code, reply.transient) == ("bad-message", True)
 

@@ -51,6 +51,7 @@ from repro.proto.messages import (
     rng_from_state,
 )
 from repro.util.codec import CodecError
+from tests.conftest import k_of_n
 
 
 def round_trip(message):
@@ -79,7 +80,9 @@ def c1_objects(wire_context):
     storage = StorageHost()
     sharer = SharerC1("vec-sharer", storage)
     service = PuzzleServiceC1()
-    puzzle = sharer.upload(b"wire-secret", party_context, k=2, n=4)
+    puzzle = sharer.upload_policy(
+        b"wire-secret", party_context, k_of_n(2, party_context, 4)
+    )
     puzzle_id = service.store_puzzle(puzzle)
     displayed = service.display_puzzle(puzzle_id, rng=random.Random(11))
     receiver = ReceiverC1("vec-receiver", storage)
@@ -94,7 +97,9 @@ def c2_objects(wire_context):
     storage = StorageHost()
     sharer = SharerC2("vec-sharer", storage, TOY)
     service = PuzzleServiceC2()
-    record, _ = sharer.upload(b"wire-secret-2", party_context, k=2, n=3)
+    record, _ = sharer.upload_policy(
+        b"wire-secret-2", party_context, k_of_n(2, party_context, 3)
+    )
     puzzle_id = service.store_upload(record)
     displayed = service.display_puzzle(puzzle_id)
     receiver = ReceiverC2("vec-receiver", storage, TOY)

@@ -39,6 +39,7 @@ from repro.proto.messages import (
     decode_message,
     encode_message,
 )
+from tests.conftest import k_of_n
 
 
 @pytest.fixture(params=["single-host", "cluster"])
@@ -94,7 +95,9 @@ class TestTamperOverTheWire:
         context = Context.from_mapping(
             {"Q1?": "A1", "Q2?": "A2", "Q3?": "A3"}
         )
-        puzzle = SharerC1("alice", storage).upload(b"the object", context, 2, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"the object", context, k_of_n(2, context, 3)
+        )
         stored = roundtrip(engine, StorePuzzleRequest(puzzle=puzzle))
         storage.tamper(puzzle.url, b"\x00" * 64)
         shown = roundtrip(
@@ -128,7 +131,9 @@ class TestRetractThenGet:
         context = Context.from_mapping(
             {"Q1?": "A1", "Q2?": "A2", "Q3?": "A3"}
         )
-        puzzle = SharerC1("alice", storage).upload(b"obj", context, 2, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"obj", context, k_of_n(2, context, 3)
+        )
         stored = roundtrip(engine, StorePuzzleRequest(puzzle=puzzle))
         gone = roundtrip(
             engine,
@@ -154,7 +159,9 @@ class TestRetractThenGet:
         context = Context.from_mapping(
             {"Q1?": "A1", "Q2?": "A2", "Q3?": "A3"}
         )
-        puzzle = SharerC1("alice", storage).upload(b"obj", context, 2, 3)
+        puzzle = SharerC1("alice", storage).upload_policy(
+            b"obj", context, k_of_n(2, context, 3)
+        )
         assert roundtrip(storage, StorageDeleteRequest(url=puzzle.url)).value
         reply = roundtrip(storage, StorageGetRequest(url=puzzle.url))
         assert isinstance(reply, ErrorReply)
